@@ -7,10 +7,10 @@
 
 use crate::policy::BanditPolicy;
 use crate::{BanditError, BatchEnvironment, Environment};
+use ideaflow_exec::current_par_map;
 use ideaflow_trace::{Journal, PayloadValue};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Emits one `bandit.pull` journal event: the pull index, chosen arm,
 /// observed reward, cumulative regret (NaN without an oracle) and the
@@ -242,10 +242,9 @@ pub fn run_concurrent_journaled<P: BanditPolicy, E: BatchEnvironment>(
         let observed: Vec<Option<f64>> = {
             let env: &E = env;
             let arms: &[usize] = &arms;
-            (0..concurrency)
-                .into_par_iter()
-                .map(|k| env.try_peek(arms[k], base_t + k as u32))
-                .collect()
+            current_par_map((0..concurrency).collect(), |_, k: usize| {
+                env.try_peek(arms[k], base_t + k as u32)
+            })
         };
         let censored: Vec<bool> = observed.iter().map(Option::is_none).collect();
         let rewards: Vec<f64> = observed.iter().map(|r| r.unwrap_or(0.0)).collect();

@@ -11,8 +11,11 @@ fn main() {
 
 fn run_harness() {
     let d = fig11_metrics::run(2_000, 0xF11);
-    println!("METRICS 2.0 (Fig 11): instrumented tools -> transmitter -> server -> miner\n");
-    println!("records collected by the server: {}\n", d.records_collected);
+    println!("METRICS 2.0 (Fig 11): instrumented tools -> run journal -> miner\n");
+    println!(
+        "records mined from the run journal: {}\n",
+        d.records_collected
+    );
     println!("miner: option sensitivity vs signoff WNS (standardized effects):\n");
     let rows: Vec<Vec<String>> = d
         .wns_sensitivities

@@ -1,10 +1,10 @@
 //! `ideaflow-exec` — the work-stealing executor behind ideaflow's
-//! parallel-iterator facade.
+//! parallel loops.
 //!
 //! The orchestration layer (GWTW rounds, multistart batches, concurrent
-//! bandit pulls) fans work out through `rayon`-style `into_par_iter()`
-//! calls; this crate supplies the pool those calls actually run on. It
-//! is a std-only work-stealing scheduler:
+//! bandit pulls) fans work out through [`current_par_map`]; this crate
+//! supplies the pool those calls run on. It is a std-only work-stealing
+//! scheduler:
 //!
 //! - one **global injector** queue plus one **per-worker deque**
 //!   (`queues[0]` is the injector, `queues[1 + w]` belongs to worker
@@ -22,7 +22,7 @@
 //! - [`ThreadPool::scope`] for borrowing tasks (non-`'static`), with
 //!   the calling thread *helping* — executing queued tasks — while it
 //!   waits, so a 1-worker pool cannot deadlock on nested scopes;
-//! - [`ThreadPool::par_map`], the indexed map the facade builds on: it
+//! - [`ThreadPool::par_map`], the indexed map every parallel loop uses: it
 //!   hands every closure its item index, so call sites that derive
 //!   per-index RNG seeds produce **bit-identical results at any thread
 //!   count** (results land in per-index slots; scheduling order cannot
@@ -32,7 +32,8 @@
 //! Thread count comes from the `IDEAFLOW_THREADS` env var (`0`/unset =
 //! one per core) or [`PoolBuilder::threads`]; at `1` the pool spawns no
 //! threads and runs everything inline on the caller, which *is* the
-//! sequential baseline. The lazy [`global`] pool serves facade calls;
+//! sequential baseline. The lazy [`global`] pool serves
+//! [`current_par_map`] calls;
 //! tests pin a specific pool with [`with_pool`].
 //!
 //! # Schedule-perturbation sanitizer
@@ -731,8 +732,8 @@ pub fn global() -> &'static ThreadPool {
     GLOBAL.get_or_init(|| PoolBuilder::new().build())
 }
 
-/// Runs `f` with `pool` pinned as the current executor: facade calls
-/// ([`current_par_map`]) inside `f` dispatch to it instead of the
+/// Runs `f` with `pool` pinned as the current executor:
+/// [`current_par_map`] calls inside `f` dispatch to it instead of the
 /// global pool. Nests; the override ends when `f` returns.
 pub fn with_pool<R>(pool: &ThreadPool, f: impl FnOnce() -> R) -> R {
     CURRENT_POOL.with(|c| c.borrow_mut().push(pool.inner.clone()));
@@ -750,8 +751,8 @@ pub fn with_pool<R>(pool: &ThreadPool, f: impl FnOnce() -> R) -> R {
 
 /// [`ThreadPool::par_map`] on the current executor: the innermost
 /// [`with_pool`] override (workers count as pinned to their own pool),
-/// else the [`global`] pool. This is the entry point the vendored
-/// `rayon` facade drives.
+/// else the [`global`] pool. This is the entry point the parallel loops
+/// in `opt` and `bandit` call.
 pub fn current_par_map<T: Send, R: Send>(
     items: Vec<T>,
     f: impl Fn(usize, T) -> R + Sync,

@@ -1,8 +1,9 @@
 //! Per-step flow metric records — the raw material of the METRICS system.
 //!
 //! Every flow run can emit a sequence of [`StepRecord`]s (one per flow
-//! step), each carrying named scalar metrics. `ideaflow-metrics` wraps,
-//! transmits and mines these.
+//! step), each carrying named scalar metrics. `SpnrFlow::run_logged`
+//! journals them as `flow.step.*` events, and `ideaflow-metrics` mines
+//! them back out of any journal.
 
 use serde::{Deserialize, Serialize};
 

@@ -390,9 +390,10 @@ impl SpnrFlow {
         let qor = self.run(options, sample);
         let records = self.step_records(options, &qor, sample);
         if self.journal.is_enabled() {
-            // Journal events carry the same metric vocabulary as the
-            // METRICS wire records, so journal-side and transmitter-side
-            // views of a run line up field for field.
+            // These events are the METRICS transport:
+            // `metrics::corpus::from_events` rebuilds `records` from
+            // them (finite values bit for bit), so the payload carries
+            // `flow_run` and every metric in record order.
             for r in &records {
                 let fields: Vec<(&str, ideaflow_trace::PayloadValue)> =
                     std::iter::once(("flow_run", r.run_id.as_str().into()))

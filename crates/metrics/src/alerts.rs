@@ -496,7 +496,9 @@ pub fn parse_rules(text: &str) -> Result<Vec<AlertRule>, String> {
         };
         let number = |v: &str| -> Result<f64, String> {
             v.parse::<f64>()
-                .map_err(|_| format!("line {lineno}: `{}` must be a number", key.trim()))
+                .ok()
+                .filter(|x| x.is_finite())
+                .ok_or_else(|| format!("line {lineno}: `{}` must be a finite number", key.trim()))
         };
         match key.trim() {
             "name" => entry.name = Some(string(value)?),
@@ -587,6 +589,11 @@ pub fn parse_rules(text: &str) -> Result<Vec<AlertRule>, String> {
                 let hours = raw
                     .budget_hours
                     .ok_or_else(|| format!("line {at}: rule `{name}` is missing `budget_hours`"))?;
+                if hours <= 0.0 {
+                    return Err(format!(
+                        "line {at}: `budget_hours` must be positive, got {hours}"
+                    ));
+                }
                 AlertRule::budget(&name, hours)
             }
             "stall" => {
@@ -826,9 +833,88 @@ threshold = 100
             ),
             ("threshold = 1\n", "outside an [[alert]] table"),
             ("[frob]\n", "only [[alert]] tables"),
+            (
+                "[[alert]]\nname = \"x\"\nkind = \"gauge\"\nmetric = \"g\"\nop = \">\"\nthreshold = nan\n",
+                "line 6: `threshold` must be a finite number",
+            ),
+            (
+                "[[alert]]\nname = \"x\"\nkind = \"counter\"\nmetric = \"c\"\nop = \"<\"\nthreshold = -inf\n",
+                "line 6: `threshold` must be a finite number",
+            ),
+            (
+                "[[alert]]\nname = \"x\"\nkind = \"budget\"\nbudget_hours = inf\n",
+                "line 4: `budget_hours` must be a finite number",
+            ),
+            (
+                "[[alert]]\nname = \"x\"\nkind = \"budget\"\nbudget_hours = -1\n",
+                "line 1: `budget_hours` must be positive",
+            ),
+            (
+                "[[alert]]\nname = \"x\"\nkind = \"budget\"\nbudget_hours = 0\n",
+                "line 1: `budget_hours` must be positive",
+            ),
+            (
+                "[[alert]]\nname = \"x\"\nkind = \"stall\"\nrounds = NaN\n",
+                "line 4: `rounds` must be a finite number",
+            ),
         ] {
             let err = parse_rules(text).unwrap_err();
             assert!(err.contains(needle), "`{needle}` not in `{err}`");
+        }
+    }
+
+    /// Number spellings for generated rules files: finite, non-finite,
+    /// out of range, and not a number.
+    const NUMBERS: &[&str] = &[
+        "1", "0.5", "0.95", "-1", "0", "nan", "inf", "-inf", "1e309", "x",
+    ];
+    const KINDS: &[&str] = &[
+        "counter",
+        "gauge",
+        "percentile",
+        "budget",
+        "stall",
+        "rate",
+        "?",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// On any text, the parser answers `Ok` or `Err` without
+        /// panicking, and every rule it accepts has a finite threshold
+        /// (a positive one, for budgets). Inputs are generated rules
+        /// files, random text, or both spliced together.
+        #[test]
+        fn parse_rules_never_panics(
+            kinds in proptest::collection::vec(0..KINDS.len(), 0..4),
+            numbers in proptest::collection::vec(0..2 * NUMBERS.len(), 4),
+            noise in "[ -~\n]{0,24}",
+            at in 0usize..2048,
+        ) {
+            let [t, b, r, q] = [0, 1, 2, 3].map(|i| *NUMBERS.get(numbers[i]).unwrap_or(&"2"));
+            let mut text = String::new();
+            for (i, &k) in kinds.iter().enumerate() {
+                text += &format!(
+                    "[[alert]]\nname = \"r{i}\"\nkind = \"{}\"\nmetric = \"m\"\nop = \">\"\n\
+                     numerator = \"a\"\ndenominator = \"b\"\nthreshold = {t}\n\
+                     budget_hours = {b}\nrounds = {r}\nq = {q}\n",
+                    KINDS[k]
+                );
+            }
+            // Half the cases splice the random text in (all of the text,
+            // when no entries were generated).
+            if at < 1024 {
+                text.insert_str(at.min(text.len()), &noise);
+            }
+            if let Ok(rules) = parse_rules(&text) {
+                for rule in rules {
+                    proptest::prop_assert!(rule.threshold.is_finite());
+                    if rule.kind == AlertKind::Budget {
+                        proptest::prop_assert!(rule.threshold > 0.0);
+                    }
+                }
+            }
         }
     }
 }

@@ -4,13 +4,13 @@
 //! of METRICS should feed predictions and guidance back into the design
 //! flow, which would then adapt tool/flow parameters midstream without
 //! human intervention." [`AdaptiveTargeter`] is that loop for the target
-//! frequency knob: it watches signoff records arriving at the server,
-//! refits the achievable-frequency prescription, and proposes the next
-//! run's target — no human in the loop.
+//! frequency knob: it watches signoff records arriving in the journal
+//! corpus, refits the achievable-frequency prescription, and proposes
+//! the next run's target — no human in the loop.
 
 use crate::miner::prescribe_frequency_ghz;
-use crate::server::MetricsServer;
 use crate::MetricsError;
+use ideaflow_flow::record::StepRecord;
 
 /// Closed-loop target-frequency adaptation policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,11 +52,11 @@ impl AdaptiveTargeter {
         })
     }
 
-    /// The next run's target frequency given the server's current data.
-    /// Falls back to `initial_ghz` until enough data accumulates.
+    /// The next run's target frequency given the corpus collected so
+    /// far. Falls back to `initial_ghz` until enough data accumulates.
     #[must_use]
-    pub fn next_target_ghz(&self, server: &MetricsServer) -> f64 {
-        match prescribe_frequency_ghz(server, self.margin_ps) {
+    pub fn next_target_ghz(&self, corpus: &[StepRecord]) -> f64 {
+        match prescribe_frequency_ghz(corpus, self.margin_ps) {
             Ok(f) => f * self.derate,
             Err(_) => self.initial_ghz,
         }
@@ -66,25 +66,28 @@ impl AdaptiveTargeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::MetricsServer;
+    use crate::corpus;
     use ideaflow_flow::options::SpnrOptions;
     use ideaflow_flow::spnr::SpnrFlow;
     use ideaflow_netlist::generate::{DesignClass, DesignSpec};
+    use ideaflow_trace::{parse_jsonl, Journal};
 
     #[test]
     fn closed_loop_converges_to_a_passing_target() {
-        let flow = SpnrFlow::new(DesignSpec::new(DesignClass::Cpu, 300).unwrap(), 9);
-        let (server, tx) = MetricsServer::new();
+        let journal = Journal::in_memory("feedback");
+        let flow = SpnrFlow::new(DesignSpec::new(DesignClass::Cpu, 300).unwrap(), 9)
+            .with_journal(journal.clone());
+        let mut collected = Vec::new();
         // Margin must cover the tool's timing noise near the limit (the
         // Fig 4 guardband lesson applied to the controller itself).
         let targeter = AdaptiveTargeter::new(80.0, 0.95, flow.fmax_ref_ghz() * 1.4).unwrap();
 
         // No data: falls back to the (aggressive, failing) initial target.
-        let first = targeter.next_target_ghz(&server);
+        let first = targeter.next_target_ghz(&collected);
         assert!((first - flow.fmax_ref_ghz() * 1.4).abs() < 1e-12);
 
         // Run the loop: each iteration runs the flow at the current target
-        // and feeds the records back.
+        // and mines what the journal recorded.
         let mut target = first;
         for i in 0..12 {
             // Spread early samples to give the miner slope information.
@@ -94,12 +97,10 @@ mod tests {
                 target
             };
             let opts = SpnrOptions::with_target_ghz(probe.min(20.0)).unwrap();
-            let (_qor, records) = flow.run_logged(&opts, i);
-            for r in records {
-                tx.send(r);
-            }
-            server.ingest();
-            target = targeter.next_target_ghz(&server).min(20.0);
+            let _ = flow.run_logged(&opts, i);
+            let events = parse_jsonl(&journal.drain_lines().join("\n")).unwrap();
+            collected.extend(corpus::from_events(&events));
+            target = targeter.next_target_ghz(&collected).min(20.0);
         }
         // The adapted target should be near (just under) the achievable
         // limit, and runs at it should mostly pass timing.
@@ -126,9 +127,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_server_uses_fallback() {
-        let (server, _tx) = MetricsServer::new();
+    fn empty_corpus_uses_fallback() {
         let t = AdaptiveTargeter::new(0.0, 0.9, 0.7).unwrap();
-        assert!((t.next_target_ghz(&server) - 0.7).abs() < 1e-12);
+        assert!((t.next_target_ghz(&[]) - 0.7).abs() < 1e-12);
     }
 }

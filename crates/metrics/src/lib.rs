@@ -6,12 +6,13 @@
 //! predictions and guidance for improving the current design process". Its
 //! three components, reproduced here:
 //!
-//! - **Instrumentation** ([`xml`], plus the wrapper adapters over
-//!   `ideaflow-flow` step records): tool data is encoded into XML and
-//!   handed to a transmitter.
-//! - **The METRICS server** ([`server`]): a central collection point fed
-//!   by concurrent transmitters (crossbeam channel), queryable by run,
-//!   step and metric.
+//! - **Instrumentation**: `SpnrFlow::run_logged` journals each flow
+//!   step's metrics as a `flow.step.<step>` event in the shared
+//!   [`vocabulary`].
+//! - **Collection**: the run journal (`ideaflow-trace`) is the transport
+//!   and the store, in memory or on disk in either journal format.
+//!   [`corpus`] rebuilds the per-step records from any journal's events
+//!   and aligns them per run.
 //! - **The data miner** ([`miner`]): regression/sensitivity analyses that
 //!   predict design-specific tool outcomes and best option settings, and
 //!   prescribe achievable clock frequency — the two validation uses the
@@ -25,12 +26,11 @@
 //! registry (served at `GET /alerts` by [`http`]).
 
 pub mod alerts;
+pub mod corpus;
 pub mod feedback;
 pub mod http;
 pub mod miner;
-pub mod server;
 pub mod vocabulary;
-pub mod xml;
 
 use std::error::Error;
 use std::fmt;
@@ -38,11 +38,6 @@ use std::fmt;
 /// Error type for the METRICS system.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetricsError {
-    /// XML parse failure.
-    ParseXml {
-        /// Description of the malformation.
-        detail: String,
-    },
     /// A query or mining operation had no usable data.
     NoData {
         /// What was missing.
@@ -60,7 +55,6 @@ pub enum MetricsError {
 impl fmt::Display for MetricsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MetricsError::ParseXml { detail } => write!(f, "xml parse error: {detail}"),
             MetricsError::NoData { detail } => write!(f, "no data: {detail}"),
             MetricsError::InvalidParameter { name, detail } => {
                 write!(f, "invalid parameter `{name}`: {detail}")

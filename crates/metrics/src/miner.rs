@@ -4,11 +4,12 @@
 //! design-specific tool outcomes and best tool option settings", via
 //! mining and sensitivity analyses with respect to final QoR, and (ii) to
 //! "prescribe achievable clock frequency for given designs and resource
-//! budgets". Both are implemented here over the server's run matrix.
+//! budgets". Both are implemented here over the run matrix of a journal
+//! corpus ([`crate::corpus`]).
 
-use crate::server::MetricsServer;
+use crate::corpus::run_matrix;
 use crate::MetricsError;
-use ideaflow_flow::record::FlowStep;
+use ideaflow_flow::record::{FlowStep, StepRecord};
 use ideaflow_mlkit::linreg::RidgeRegression;
 use ideaflow_mlkit::scale::StandardScaler;
 
@@ -39,20 +40,20 @@ impl Sensitivity {
 }
 
 /// Fits standardized effects of `input_columns` on `target_column` across
-/// all complete runs in the server.
+/// all complete runs in the corpus.
 ///
 /// # Errors
 ///
 /// - [`MetricsError::NoData`] if fewer than 3 complete runs exist.
 /// - [`MetricsError::InvalidParameter`] if the regression fails.
 pub fn sensitivity(
-    server: &MetricsServer,
+    corpus: &[StepRecord],
     input_columns: &[(FlowStep, &str)],
     target_column: (FlowStep, &str),
 ) -> Result<Sensitivity, MetricsError> {
     let mut all = input_columns.to_vec();
     all.push(target_column);
-    let (_ids, rows) = server.run_matrix(&all)?;
+    let (_ids, rows) = run_matrix(corpus, &all)?;
     if rows.len() < 3 {
         return Err(MetricsError::NoData {
             detail: format!("need at least 3 complete runs, have {}", rows.len()),
@@ -92,20 +93,20 @@ pub struct OptionRecommender {
 }
 
 impl OptionRecommender {
-    /// Fits from the server's complete runs.
+    /// Fits from the corpus's complete runs.
     ///
     /// # Errors
     ///
     /// Same conditions as [`sensitivity`].
     pub fn fit(
-        server: &MetricsServer,
+        corpus: &[StepRecord],
         input_columns: &[(FlowStep, &str)],
         target_column: (FlowStep, &str),
         maximize: bool,
     ) -> Result<Self, MetricsError> {
         let mut all = input_columns.to_vec();
         all.push(target_column);
-        let (_ids, rows) = server.run_matrix(&all)?;
+        let (_ids, rows) = run_matrix(corpus, &all)?;
         if rows.len() < 3 {
             return Err(MetricsError::NoData {
                 detail: format!("need at least 3 complete runs, have {}", rows.len()),
@@ -155,21 +156,21 @@ impl OptionRecommender {
 /// `wns(target)` across collected runs and returns the highest target
 /// whose predicted WNS is ≥ `margin_ps`.
 ///
-/// Inputs come from the server: the `signoff.wns_ps` metric against the
+/// Inputs come from the corpus: the `signoff.wns_ps` metric against the
 /// `signoff.target_ghz` metric.
 ///
 /// # Errors
 ///
 /// - [`MetricsError::NoData`] with fewer than 4 signoff records.
 /// - [`MetricsError::InvalidParameter`] if the fit degenerates.
-pub fn prescribe_frequency_ghz(
-    server: &MetricsServer,
-    margin_ps: f64,
-) -> Result<f64, MetricsError> {
-    let (_, rows) = server.run_matrix(&[
-        (FlowStep::Signoff, "target_ghz"),
-        (FlowStep::Signoff, "wns_ps"),
-    ])?;
+pub fn prescribe_frequency_ghz(corpus: &[StepRecord], margin_ps: f64) -> Result<f64, MetricsError> {
+    let (_, rows) = run_matrix(
+        corpus,
+        &[
+            (FlowStep::Signoff, "target_ghz"),
+            (FlowStep::Signoff, "wns_ps"),
+        ],
+    )?;
     if rows.len() < 4 {
         return Err(MetricsError::NoData {
             detail: format!("need at least 4 signoff records, have {}", rows.len()),
@@ -204,14 +205,16 @@ pub fn prescribe_frequency_ghz(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::MetricsServer;
+    use crate::corpus;
     use ideaflow_flow::options::SpnrOptions;
     use ideaflow_flow::spnr::SpnrFlow;
     use ideaflow_netlist::generate::{DesignClass, DesignSpec};
+    use ideaflow_trace::{parse_jsonl, Journal};
 
-    fn populated_server() -> (std::sync::Arc<MetricsServer>, SpnrFlow) {
-        let flow = SpnrFlow::new(DesignSpec::new(DesignClass::Cpu, 300).unwrap(), 5);
-        let (server, tx) = MetricsServer::new();
+    fn journaled_corpus() -> (Vec<StepRecord>, SpnrFlow) {
+        let journal = Journal::in_memory("miner");
+        let flow = SpnrFlow::new(DesignSpec::new(DesignClass::Cpu, 300).unwrap(), 5)
+            .with_journal(journal.clone());
         let fmax = flow.fmax_ref_ghz();
         for (i, frac) in [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0, 1.05]
             .iter()
@@ -219,20 +222,17 @@ mod tests {
         {
             let mut opts = SpnrOptions::with_target_ghz(fmax * frac).unwrap();
             opts.utilization = 0.6 + 0.05 * (i % 4) as f64;
-            let (_q, records) = flow.run_logged(&opts, i as u32);
-            for r in records {
-                tx.send(r);
-            }
+            let _ = flow.run_logged(&opts, i as u32);
         }
-        server.ingest();
-        (server, flow)
+        let events = parse_jsonl(&journal.drain_lines().join("\n")).unwrap();
+        (corpus::from_events(&events), flow)
     }
 
     #[test]
     fn sensitivity_finds_target_frequency_dominant_for_wns() {
-        let (server, _flow) = populated_server();
+        let (corpus, _flow) = journaled_corpus();
         let s = sensitivity(
-            &server,
+            &corpus,
             &[
                 (FlowStep::Signoff, "target_ghz"),
                 (FlowStep::Floorplan, "utilization"),
@@ -253,9 +253,9 @@ mod tests {
 
     #[test]
     fn recommender_picks_lower_frequency_for_wns() {
-        let (server, flow) = populated_server();
+        let (corpus, flow) = journaled_corpus();
         let rec = OptionRecommender::fit(
-            &server,
+            &corpus,
             &[(FlowStep::Signoff, "target_ghz")],
             (FlowStep::Signoff, "wns_ps"),
             true, // maximize slack
@@ -269,23 +269,22 @@ mod tests {
 
     #[test]
     fn prescribed_frequency_is_near_fmax() {
-        let (server, flow) = populated_server();
-        let f = prescribe_frequency_ghz(&server, 0.0).unwrap();
+        let (corpus, flow) = journaled_corpus();
+        let f = prescribe_frequency_ghz(&corpus, 0.0).unwrap();
         let fmax = flow.fmax_ref_ghz();
         assert!(
             (f - fmax).abs() / fmax < 0.25,
             "prescribed {f} vs fmax {fmax}"
         );
         // Demanding margin lowers the prescription.
-        let f_margin = prescribe_frequency_ghz(&server, 50.0).unwrap();
+        let f_margin = prescribe_frequency_ghz(&corpus, 50.0).unwrap();
         assert!(f_margin < f);
     }
 
     #[test]
-    fn mining_empty_server_fails_cleanly() {
-        let (server, _tx) = MetricsServer::new();
+    fn mining_an_empty_corpus_fails_cleanly() {
         assert!(matches!(
-            prescribe_frequency_ghz(&server, 0.0),
+            prescribe_frequency_ghz(&[], 0.0),
             Err(MetricsError::NoData { .. })
         ));
     }

@@ -4,12 +4,11 @@
 //! important. Design metrics ... reported from one tool should have the
 //! same semantics when reported by another tool." This module is that
 //! vocabulary: a registry of canonical metric names with units and
-//! per-step applicability, plus record validation so instrumented tools
+//! per-step applicability, plus corpus validation so instrumented tools
 //! cannot silently drift.
 
-use crate::xml::MetricRecord;
 use crate::MetricsError;
-use ideaflow_flow::record::FlowStep;
+use ideaflow_flow::record::{FlowStep, StepRecord};
 
 /// Canonical definition of one metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,44 +147,43 @@ impl std::fmt::Display for VocabularyViolation {
     }
 }
 
-/// Validates one record against the vocabulary, returning every violation
-/// (empty = conformant).
+/// Validates every record of a corpus against the vocabulary, returning
+/// every violation in corpus order (empty = conformant).
 #[must_use]
-pub fn validate(record: &MetricRecord) -> Vec<VocabularyViolation> {
+pub fn validate(corpus: &[StepRecord]) -> Vec<VocabularyViolation> {
     let mut out = Vec::new();
-    for (name, value) in &record.record.metrics {
-        match lookup(name) {
-            None => out.push(VocabularyViolation::UnknownMetric(name.clone())),
-            Some(def) => {
-                if let Some(steps) = def.steps {
-                    if !steps.contains(&record.record.step) {
-                        out.push(VocabularyViolation::WrongStep {
-                            metric: name.clone(),
-                            step: record.record.step,
-                        });
-                    }
-                }
-                if def.non_negative && (*value < 0.0 || value.is_nan()) {
-                    out.push(VocabularyViolation::BadValue {
-                        metric: name.clone(),
-                        value: *value,
-                    });
-                }
+    for record in corpus {
+        for (name, value) in &record.metrics {
+            let Some(def) = lookup(name) else {
+                out.push(VocabularyViolation::UnknownMetric(name.clone()));
+                continue;
+            };
+            if def.steps.is_some_and(|steps| !steps.contains(&record.step)) {
+                out.push(VocabularyViolation::WrongStep {
+                    metric: name.clone(),
+                    step: record.step,
+                });
+            }
+            if def.non_negative && (*value < 0.0 || value.is_nan()) {
+                out.push(VocabularyViolation::BadValue {
+                    metric: name.clone(),
+                    value: *value,
+                });
             }
         }
     }
     out
 }
 
-/// Validates a record, turning the first violation into an error — the
+/// Validates a corpus, turning the first violation into an error — the
 /// strict mode for ingestion pipelines.
 ///
 /// # Errors
 ///
 /// Returns [`MetricsError::InvalidParameter`] describing the first
 /// violation.
-pub fn validate_strict(record: &MetricRecord) -> Result<(), MetricsError> {
-    match validate(record).into_iter().next() {
+pub fn validate_strict(corpus: &[StepRecord]) -> Result<(), MetricsError> {
+    match validate(corpus).into_iter().next() {
         None => Ok(()),
         Some(v) => Err(MetricsError::InvalidParameter {
             name: "record",
@@ -197,14 +195,13 @@ pub fn validate_strict(record: &MetricRecord) -> Result<(), MetricsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ideaflow_flow::record::StepRecord;
 
-    fn rec(step: FlowStep, metrics: &[(&str, f64)]) -> MetricRecord {
+    fn rec(step: FlowStep, metrics: &[(&str, f64)]) -> [StepRecord; 1] {
         let mut r = StepRecord::new(step, "run");
         for (n, v) in metrics {
             r.push(n, *v);
         }
-        MetricRecord { seq: 0, record: r }
+        [r]
     }
 
     #[test]
@@ -216,11 +213,8 @@ mod tests {
         let flow = SpnrFlow::new(DesignSpec::new(DesignClass::Cpu, 64).unwrap(), 1);
         let opts = SpnrOptions::with_target_ghz(0.3).unwrap();
         let (_q, records) = flow.run_logged(&opts, 0);
-        for r in records {
-            let m = MetricRecord { seq: 0, record: r };
-            let violations = validate(&m);
-            assert!(violations.is_empty(), "violations: {violations:?}");
-        }
+        let violations = validate(&records);
+        assert!(violations.is_empty(), "violations: {violations:?}");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 
 use crate::anneal::AnnealConfig;
 use crate::{Landscape, SearchOutcome};
+use ideaflow_exec::current_par_map;
 use ideaflow_trace::Journal;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// GWTW population parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,10 +192,8 @@ pub fn gwtw_controlled<L: Landscape>(
         // whole review period (`review_period` moves, ms-scale), so
         // replica fan-out amortizes queue/wake overhead by
         // construction; do not split the review loop across tasks.
-        let annealed: Vec<(L::State, f64, bool)> = population
-            .into_par_iter()
-            .enumerate()
-            .map(|(i, (state, cost))| {
+        let annealed: Vec<(L::State, f64, bool)> =
+            current_par_map(population, |i, (state, cost)| {
                 let mut trng = StdRng::seed_from_u64(
                     round_seed ^ (i as u64).wrapping_mul(0xABCD_1234_5678_9EF1),
                 );
@@ -214,8 +212,7 @@ pub fn gwtw_controlled<L: Landscape>(
                     }
                 }
                 (s, c, alive)
-            })
-            .collect();
+            });
         evaluations += cfg.population * cfg.review_period;
 
         let costs: Vec<f64> = annealed.iter().map(|(_, c, _)| *c).collect();
@@ -330,9 +327,8 @@ pub fn independent_baseline<L: Landscape>(
     seed: u64,
 ) -> SearchOutcome<L::State> {
     let moves = cfg.review_period * cfg.rounds;
-    let outcomes: Vec<SearchOutcome<L::State>> = (0..cfg.population)
-        .into_par_iter()
-        .map(|i| {
+    let outcomes: Vec<SearchOutcome<L::State>> =
+        current_par_map((0..cfg.population).collect(), |_, i: usize| {
             let s = seed ^ (0x51_7CC1_B727_2202u64.wrapping_mul(i as u64 + 1));
             let mut rng = StdRng::seed_from_u64(s);
             let start = landscape.random_state(&mut rng);
@@ -346,8 +342,7 @@ pub fn independent_baseline<L: Landscape>(
                 },
                 s.wrapping_add(7),
             )
-        })
-        .collect();
+        });
 
     outcomes
         .into_iter()

@@ -8,10 +8,10 @@
 
 use crate::local::{try_local_search, LocalSearchConfig};
 use crate::{Landscape, SearchOutcome};
+use ideaflow_exec::current_par_map;
 use ideaflow_trace::Journal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Configuration shared by both multistart variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,15 +78,13 @@ pub fn random_multistart_journaled<L: Landscape>(
     // One run-level span: starts run on worker threads, so per-start
     // spans would root independently instead of nesting under the run.
     let _span = journal.span("multistart.run");
-    let attempts: Vec<Option<SearchOutcome<L::State>>> = (0..cfg.starts)
-        .into_par_iter()
-        .map(|i| {
+    let attempts: Vec<Option<SearchOutcome<L::State>>> =
+        current_par_map((0..cfg.starts).collect(), |_, i: usize| {
             let s = seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1));
             let mut rng = StdRng::seed_from_u64(s);
             let start = landscape.random_state(&mut rng);
             try_local_search(landscape, start, cfg.local, s.wrapping_add(1))
-        })
-        .collect();
+        });
     let outcomes = keep_survivors(journal, "random", attempts);
     journal_starts(journal, "random", &outcomes);
     merge(outcomes)

@@ -156,7 +156,7 @@ pub const EVENTS: &[EventSchema] = &[
         name: "flow.step.*",
         fields: &[f("flow_run", Str)],
         extra_fields: true,
-        doc: "per-step METRICS record mirrored into the journal \
+        doc: "per-step METRICS record, the input metrics::corpus mines \
               (step-specific metric keys ride as extra fields)",
     },
     // ---- flow physical pipeline -------------------------------------------
@@ -397,14 +397,6 @@ pub const EVENTS: &[EventSchema] = &[
         extra_fields: false,
         doc: "GWTW-vs-independent orchestration comparison outcome",
     },
-    // ---- metrics wire mirror ------------------------------------------------
-    EventSchema {
-        name: "metrics.wire.*",
-        fields: &[f("wire_seq", Int), f("run_id", Str)],
-        extra_fields: true,
-        doc: "co-journaled METRICS wire record (per-step metric keys ride \
-              as extra fields)",
-    },
     // ---- spans / journal internals -----------------------------------------
     EventSchema {
         name: "span.open",
@@ -617,10 +609,6 @@ pub const COUNTERS: &[NameSchema] = &[
     NameSchema {
         name: "orchestrate.comparisons",
         doc: "orchestration comparisons",
-    },
-    NameSchema {
-        name: "metrics.records_sent",
-        doc: "METRICS wire records sent",
     },
     NameSchema {
         name: "bench.iterations",

@@ -5,7 +5,7 @@
 //!    run budget (paper §3.1),
 //! 2. terminates doomed detailed-routing runs with the MDP strategy card
 //!    (paper §3.3), and
-//! 3. feeds signoff metrics back through METRICS to adapt the target
+//! 3. mines signoff metrics out of the run journal to adapt the target
 //!    (paper §4, "METRICS 2.0").
 //!
 //! ```sh
@@ -18,13 +18,18 @@ use ideaflow::core::mab_env::{FrequencyArms, QorConstraints};
 use ideaflow::flow::options::SpnrOptions;
 use ideaflow::flow::spnr::SpnrFlow;
 use ideaflow::mdp::doomed::{derive_card, Action, DoomedConfig};
+use ideaflow::metrics::corpus;
 use ideaflow::metrics::feedback::AdaptiveTargeter;
-use ideaflow::metrics::server::MetricsServer;
 use ideaflow::netlist::generate::{DesignClass, DesignSpec};
 use ideaflow::route::logfile::artificial_corpus;
+use ideaflow::trace::{parse_jsonl, Journal};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let flow = SpnrFlow::new(DesignSpec::new(DesignClass::Cpu, 2_000)?, 0x1DEA);
+    // Every tool run is instrumented: the journal collects everything,
+    // and METRICS mines it later.
+    let journal = Journal::in_memory("no_human_flow");
+    let flow = SpnrFlow::new(DesignSpec::new(DesignClass::Cpu, 2_000)?, 0x1DEA)
+        .with_journal(journal.clone());
     let fmax = flow.fmax_ref_ghz();
     println!(
         "== no-human-in-the-loop flow on a {:.3}-GHz-capable design ==\n",
@@ -74,23 +79,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         verdict
     );
 
-    // --- METRICS 2.0: closed-loop target adaptation.
-    let (server, tx) = MetricsServer::new();
+    // --- METRICS 2.0: closed-loop target adaptation, mined from the
+    // journal.
+    let mut collected = Vec::new();
     let targeter = AdaptiveTargeter::new(60.0, 0.95, best)?;
-    let mut target = targeter.next_target_ghz(&server);
+    let mut target = targeter.next_target_ghz(&collected);
     for i in 0..8 {
         let probe = if i < 4 {
             target * (0.75 + 0.08 * f64::from(i))
         } else {
             target
         };
-        let (_q, records) =
-            flow.run_logged(&SpnrOptions::with_target_ghz(probe.min(20.0))?, 100 + i);
-        for r in records {
-            tx.send(r);
-        }
-        server.ingest();
-        target = targeter.next_target_ghz(&server).min(20.0);
+        let _ = flow.run_logged(&SpnrOptions::with_target_ghz(probe.min(20.0))?, 100 + i);
+        let events = parse_jsonl(&journal.drain_lines().join("\n"))?;
+        collected.extend(corpus::from_events(&events));
+        target = targeter.next_target_ghz(&collected).min(20.0);
     }
     let shipped = SpnrOptions::with_target_ghz(target)?;
     let passes = (500..520)

@@ -1,10 +1,11 @@
 //! Workspace-policy tests: everything is deterministic under a fixed seed,
-//! and the interchange formats (structural Verilog, GSRC Bookshelf,
-//! METRICS XML/JSON) round-trip real artifacts end to end.
+//! and the interchange formats (structural Verilog, GSRC Bookshelf, and
+//! the run journal's JSONL and binary files as METRICS transport)
+//! round-trip real artifacts end to end.
 
 use ideaflow::flow::options::SpnrOptions;
 use ideaflow::flow::spnr::SpnrFlow;
-use ideaflow::metrics::server::MetricsServer;
+use ideaflow::metrics::corpus;
 use ideaflow::netlist::generate::{DesignClass, DesignSpec};
 use ideaflow::netlist::verilog::{from_verilog, to_verilog};
 use ideaflow::place::bookshelf;
@@ -70,27 +71,29 @@ fn bookshelf_roundtrip_preserves_wirelength() {
 }
 
 #[test]
-fn metrics_survive_xml_and_json_transport() {
-    let flow = SpnrFlow::new(DesignSpec::new(DesignClass::Cpu, 200).unwrap(), 9);
-    let (server, tx) = MetricsServer::new();
-    let opts = SpnrOptions::with_target_ghz(flow.fmax_ref_ghz() * 0.7).unwrap();
-    for s in 0..4 {
-        let (_q, records) = flow.run_logged(&opts, s);
-        for r in records {
-            // Vocabulary conformance of everything the flow emits.
-            let m = ideaflow::metrics::xml::MetricRecord {
-                seq: 0,
-                record: r.clone(),
-            };
-            assert!(ideaflow::metrics::vocabulary::validate(&m).is_empty());
-            tx.send(r);
-        }
+fn metrics_survive_jsonl_and_binary_journals() {
+    let dir = std::env::temp_dir();
+    for (format, ext) in [
+        (ideaflow::trace::JournalFormat::Jsonl, "jsonl"),
+        (ideaflow::trace::JournalFormat::Binary, "ifj"),
+    ] {
+        let path = dir.join(format!("metrics_interchange_{}.{ext}", std::process::id()));
+        let journal =
+            ideaflow::trace::Journal::to_file_with_format("metrics", &path, format).unwrap();
+        let flow = SpnrFlow::new(DesignSpec::new(DesignClass::Cpu, 200).unwrap(), 9)
+            .with_journal(journal.clone());
+        let opts = SpnrOptions::with_target_ghz(flow.fmax_ref_ghz() * 0.7).unwrap();
+        let logged: Vec<_> = (0..4).flat_map(|s| flow.run_logged(&opts, s).1).collect();
+        drop(flow);
+        journal.finish();
+        drop(journal);
+        let reader = ideaflow::trace::Journal::load(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let mined = corpus::from_events(&reader.events);
+        // Everything the flow emits conforms to the vocabulary, and the
+        // journal file hands every record back unchanged.
+        assert!(ideaflow::metrics::vocabulary::validate(&mined).is_empty());
+        assert_eq!(mined, logged);
+        assert_eq!(mined.len(), 4 * 6);
     }
-    server.ingest();
-    let n = server.len();
-    // JSON persistence roundtrip into a fresh server.
-    let json = server.export_json().unwrap();
-    let (restored, _tx2) = MetricsServer::new();
-    assert_eq!(restored.import_json(&json).unwrap(), n);
-    assert_eq!(restored.len(), n);
 }

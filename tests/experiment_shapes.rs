@@ -93,6 +93,24 @@ fn e_t1_error_table_shape() {
 #[test]
 fn e_f11_metrics_pipeline() {
     let d = fig11_metrics::run(250, 6);
-    assert!(d.records_collected > 0);
+    assert_eq!(d.records_collected, 8 * 3 * 6);
     assert_eq!(d.wns_sensitivities[0].0, "signoff.target_ghz");
+    // Bit-pinned: the mined numbers must not move when the collection
+    // transport changes.
+    let sensitivities: Vec<(&str, u64)> = d
+        .wns_sensitivities
+        .iter()
+        .map(|(name, effect)| (name.as_str(), effect.to_bits()))
+        .collect();
+    assert_eq!(
+        sensitivities,
+        [
+            ("signoff.target_ghz", 0xc07c_7ce6_0bd0_03e2),
+            ("floorplan.utilization", 0xc024_3216_9a3c_bb00),
+            ("floorplan.aspect_ratio", 0),
+        ]
+    );
+    assert_eq!(d.prescribed_ghz.to_bits(), 0x3fe7_7a34_b560_1bac);
+    assert_eq!(d.true_fmax_ghz.to_bits(), 0x3fe7_7b5c_594c_651e);
+    assert_eq!(d.adapted_target_ghz.to_bits(), 0x3fe4_fbc9_8882_10cd);
 }

@@ -3,7 +3,6 @@
 
 use ideaflow::flow::options::SpnrOptions;
 use ideaflow::mdp::doomed::{bin_delta, bin_violations, D_BINS, V_BINS};
-use ideaflow::metrics::xml::{decode, encode, MetricRecord};
 use ideaflow::mlkit::linreg::RidgeRegression;
 use ideaflow::mlkit::stats::{mean, quantile, std_dev};
 use ideaflow::netlist::eyechart::{Eyechart, DRIVES};
@@ -43,26 +42,6 @@ proptest! {
         let fp = Floorplan::for_netlist(&nl, 0.7, 1.0).unwrap();
         let p = random_placement(&nl, &fp, seed).unwrap();
         prop_assert!(p.validate(&nl, &fp).is_ok());
-    }
-
-    /// XML round-trip preserves any record (metric names with XML
-    /// metacharacters included).
-    #[test]
-    fn xml_roundtrip(
-        run_id in "[a-zA-Z0-9_<>&\" ]{1,24}",
-        names in proptest::collection::vec("[a-z_<&\"]{1,12}", 0..6),
-        values in proptest::collection::vec(-1e9f64..1e9, 0..6),
-    ) {
-        let mut rec = ideaflow::flow::record::StepRecord::new(
-            ideaflow::flow::record::FlowStep::Route,
-            &run_id,
-        );
-        for (n, v) in names.iter().zip(&values) {
-            rec.push(n, *v);
-        }
-        let m = MetricRecord { seq: 7, record: rec };
-        let back = decode(&encode(&m)).unwrap();
-        prop_assert_eq!(back, m);
     }
 
     /// Doomed-run binning is total and in-range for any inputs.
