@@ -35,21 +35,13 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let mut out_path = "BENCH_journal.json".to_owned();
-    let mut records = if quick { QUICK_RECORDS } else { FULL_RECORDS };
+    let records = if quick { QUICK_RECORDS } else { FULL_RECORDS };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--out" {
             out_path = it.next().expect("--out requires a path").clone();
         } else if let Some(v) = a.strip_prefix("--out=") {
             out_path = v.to_owned();
-        } else if a == "--records" {
-            records = it
-                .next()
-                .expect("--records requires a count")
-                .parse()
-                .expect("--records: invalid count");
-        } else if let Some(v) = a.strip_prefix("--records=") {
-            records = v.parse().expect("--records: invalid count");
         }
     }
 

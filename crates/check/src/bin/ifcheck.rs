@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! ifcheck [--root DIR] [--allow FILE] [--deny-all] [--format FMT]
-//!         [--incremental] [--list-lints]
+//!         [--list-lints]
 //! ```
 //!
 //! Scans production sources for determinism hazards in the
@@ -20,24 +20,20 @@
 //! The default text report is byte-stable (CI and the idempotence
 //! proptest depend on that); `--format json` emits the same findings
 //! as a JSON array for problem-matchers and artifact upload.
-//! `--incremental` replays unchanged files from a content-hash cache
-//! under `target/` — the report is byte-identical to a full run.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ideaflow_check::{check_workspace, discover_files, incremental, Allowlist, Config, Diagnostic};
+use ideaflow_check::{check_workspace, Allowlist, Config, Diagnostic};
 
 const USAGE: &str = "usage: ifcheck [--root DIR] [--allow FILE] [--deny-all] [--format FMT]
-               [--incremental] [--list-lints]
+               [--list-lints]
 
   --root DIR    workspace root to scan (default: .)
   --allow FILE  allowlist (default: <root>/crates/check/allow.toml)
   --deny-all    strict mode: also fail on dead schema-registry entries
                 and stale allowlist entries
   --format FMT  report format: text (byte-stable, default) or json
-  --incremental replay unchanged files from target/ifcheck-cache.txt
-                (byte-identical report, sub-second on small diffs)
   --list-lints  print every lint name and exit";
 
 fn main() -> ExitCode {
@@ -45,7 +41,6 @@ fn main() -> ExitCode {
     let mut allow_path: Option<PathBuf> = None;
     let mut strict = false;
     let mut json = false;
-    let mut incr = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -66,7 +61,6 @@ fn main() -> ExitCode {
                 }
                 None => return usage_error("--format needs a value"),
             },
-            "--incremental" => incr = true,
             "--list-lints" => {
                 for lint in ideaflow_check::determinism::ALL {
                     println!("{lint:22} determinism");
@@ -108,28 +102,11 @@ fn main() -> ExitCode {
         };
     }
 
-    let diags = if incr {
-        let files = match discover_files(&cfg.root) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("ifcheck: scan failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let cache = incremental::default_cache_path(&cfg.root);
-        let (diags, stats) = incremental::check_files_cached(&cfg, &files, &cache);
-        eprintln!(
-            "ifcheck: incremental: {} cached, {} re-analyzed",
-            stats.hits, stats.misses
-        );
-        diags
-    } else {
-        match check_workspace(&cfg) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("ifcheck: scan failed: {e}");
-                return ExitCode::FAILURE;
-            }
+    let diags = match check_workspace(&cfg) {
+        Ok(d) => d,
+        Err(e) => {
+            eprintln!("ifcheck: scan failed: {e}");
+            return ExitCode::FAILURE;
         }
     };
     if json {

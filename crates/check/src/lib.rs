@@ -28,18 +28,15 @@
 //!   store/load handshake pairing (`atomic-handshake`), over the
 //!   deterministic crates plus `trace`, `serve`, and `metrics`.
 //!
-//! The `ifcheck` binary drives all three and is wired into CI as a
-//! required deny-by-default gate; `ifjournal lint` applies the same
-//! registry to *recorded* journals at runtime. [`incremental`] caches
-//! per-file results by content hash so the pre-commit hook stays
-//! sub-second on small diffs.
+//! The `ifcheck` binary drives all three and is wired into CI and the
+//! pre-commit hook as a required deny-by-default gate; `ifjournal lint`
+//! applies the same registry to *recorded* journals at runtime.
 
 use std::path::{Path, PathBuf};
 
 pub mod allowlist;
 pub mod determinism;
 pub mod emits;
-pub mod incremental;
 pub mod lexer;
 pub mod locks;
 pub mod schema_lint;
@@ -172,30 +169,27 @@ pub fn relative(root: &Path, path: &Path) -> String {
 }
 
 /// Everything one file contributes to the workspace report, computed by
-/// [`analyze_file`] and consumed by [`assemble`]. A pure function of the
-/// file's content and the config prefixes — which is what makes the
-/// content-hash cache in [`incremental`] sound: cross-file passes
+/// [`analyze_file`] and consumed by [`assemble`]. Cross-file passes
 /// (lock-order cycles, SeqCst pairing, dead-entry liveness) run at
-/// assembly over these records, never inside the cached step.
-#[derive(Debug, Clone, Default)]
-pub struct FileReport {
+/// assembly over these records.
+#[derive(Default)]
+struct FileReport {
     /// Per-file findings (determinism, schema, blocking-while-locked),
     /// before the allowlist is applied.
-    pub diags: Vec<Diagnostic>,
+    diags: Vec<Diagnostic>,
     /// `(kind, name)` of every journal call site in the *raw* tokens —
     /// liveness counts `#[cfg(test)]` sites too: an entry exercised
     /// only by a test is wired, not dead.
-    pub sites: Vec<(emits::SiteKind, String)>,
+    sites: Vec<(emits::SiteKind, String)>,
     /// Lock edges and atomic accesses for the workspace concurrency
     /// passes; `None` when the file is outside `lock_prefixes`.
-    pub locks: Option<locks::FileLocks>,
+    locks: Option<locks::FileLocks>,
 }
 
 /// Lints one file's source, returning its [`FileReport`]. Diagnostics
 /// come from test-stripped tokens only — test scaffolding names are the
 /// runtime `ifjournal lint`'s problem, not this gate's.
-#[must_use]
-pub fn analyze_file(cfg: &Config, rel: &str, src: &str) -> FileReport {
+fn analyze_file(cfg: &Config, rel: &str, src: &str) -> FileReport {
     let raw = lexer::lex(src);
     let tokens = lexer::strip_test_blocks(raw.clone());
     let mut report = FileReport::default();
@@ -243,8 +237,7 @@ pub fn check_files(cfg: &Config, files: &[PathBuf]) -> Vec<Diagnostic> {
 }
 
 /// The [`FileReport`] for a file that cannot be read.
-#[must_use]
-pub fn unreadable(rel: &str) -> FileReport {
+fn unreadable(rel: &str) -> FileReport {
     FileReport {
         diags: vec![Diagnostic {
             path: rel.to_owned(),
@@ -259,8 +252,7 @@ pub fn unreadable(rel: &str) -> FileReport {
 /// Combines per-file reports into the final diagnostic list: workspace
 /// concurrency passes, strict-mode dead-entry detection, the allowlist,
 /// stale-allow hygiene, and the canonical sort.
-#[must_use]
-pub fn assemble(cfg: &Config, reports: Vec<(String, FileReport)>) -> Vec<Diagnostic> {
+fn assemble(cfg: &Config, reports: Vec<(String, FileReport)>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut all_sites = Vec::new();
     let mut lock_files: Vec<(String, locks::FileLocks)> = Vec::new();

@@ -11,10 +11,9 @@
 
 use crate::CoreError;
 use ideaflow_place::guardband::GuardbandModel;
-use serde::{Deserialize, Serialize};
 
 /// Inputs of the coevolution model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoevolutionParams {
     /// Design flexibility designers exploit, in \[0, 1\] (1 = today's "well
     /// over ten thousand command-option combinations").
@@ -96,7 +95,7 @@ impl CoevolutionParams {
 }
 
 /// Outputs of the coevolution model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoevolutionOutcome {
     /// Effective tool noise σ (percent of target QoR).
     pub sigma_pct: f64,

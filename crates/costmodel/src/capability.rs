@@ -7,10 +7,9 @@
 //! growth of uncore logic (small distributed functions that do not pack).
 
 use crate::CostError;
-use serde::{Deserialize, Serialize};
 
 /// One point of the Fig 1 series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DensityPoint {
     /// Calendar year.
     pub year: u32,
@@ -29,7 +28,7 @@ impl DensityPoint {
 }
 
 /// Parameters of the capability-gap model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapabilityModel {
     /// Density at `base_year`, transistors/mm².
     pub base_density: f64,

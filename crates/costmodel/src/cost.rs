@@ -1,7 +1,6 @@
 //! The ITRS-style SOC design cost model.
 
 use crate::CostError;
-use serde::Serialize;
 
 /// A design-technology innovation: delivered in `year`, it multiplies
 /// designer productivity by `factor` from that year on.
@@ -223,7 +222,7 @@ impl CostModel {
 }
 
 /// One row of the Fig 2 trend series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig2Row {
     /// Calendar year.
     pub year: u32,

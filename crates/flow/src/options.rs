@@ -5,12 +5,9 @@
 //! target frequency, utilization, aspect ratio, per-step efforts.
 
 use crate::FlowError;
-use serde::{Deserialize, Serialize};
 
 /// Tool effort level for a flow step.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Effort {
     /// Fastest, lowest quality.
     Low,
@@ -69,7 +66,7 @@ impl Effort {
 }
 
 /// One full option vector for an SP&R run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpnrOptions {
     /// Target clock frequency, GHz.
     pub target_ghz: f64,

@@ -5,10 +5,8 @@
 //! journals them as `flow.step.*` events, and `ideaflow-metrics` mines
 //! them back out of any journal.
 
-use serde::{Deserialize, Serialize};
-
 /// A flow step name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FlowStep {
     /// Logic synthesis.
     Synthesis,
@@ -57,7 +55,7 @@ impl std::fmt::Display for FlowStep {
 }
 
 /// Metrics reported by one flow step of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepRecord {
     /// Which step.
     pub step: FlowStep,

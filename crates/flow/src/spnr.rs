@@ -21,11 +21,10 @@ use ideaflow_timing::si::apply_coupling;
 use ideaflow_trace::Journal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// QoR returned by one (fast-surface) SP&R run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QorSample {
     /// The target frequency that was asked for, GHz.
     pub target_ghz: f64,

@@ -16,7 +16,6 @@
 
 use crate::finite::FiniteMdp;
 use crate::MdpError;
-use serde::{Deserialize, Serialize};
 
 /// Number of violation bins (the Fig 10 x-axis).
 pub const V_BINS: usize = 18;
@@ -50,7 +49,7 @@ pub fn state_index(vbin: usize, dbin: usize) -> usize {
 }
 
 /// GO/STOP decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Continue the run for another iteration ("hit").
     Go,
@@ -86,7 +85,7 @@ impl Default for DoomedConfig {
 }
 
 /// The derived strategy card.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StrategyCard {
     /// Action per `(vbin, dbin)` state (flat, `V_BINS * D_BINS`).
     actions: Vec<Action>,
@@ -276,7 +275,7 @@ pub fn derive_card(runs: &[Vec<u64>], cfg: DoomedConfig) -> Result<StrategyCard,
 }
 
 /// One row of the paper's error table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorRow {
     /// Consecutive STOP signals required before terminating.
     pub k_consecutive: usize,

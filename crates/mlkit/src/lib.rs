@@ -47,7 +47,6 @@ pub mod split;
 pub mod stats;
 pub mod tree;
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -95,7 +94,7 @@ impl Error for MlError {}
 /// A labelled dataset of feature rows and scalar targets.
 ///
 /// Thin convenience wrapper used by [`split`] and the model `fit` functions.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     /// Feature rows; all rows must share one length.
     pub xs: Vec<Vec<f64>>,

@@ -5,11 +5,10 @@
 //! to give realistic relative magnitudes (FO4 ≈ 5 `tau`); absolute numbers
 //! are arbitrary but consistent across the workspace.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Logic function of a cell, independent of drive strength or VT flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CellKind {
     /// Inverter (1 input).
     Inv,
@@ -135,9 +134,7 @@ impl fmt::Display for CellKind {
 }
 
 /// Threshold-voltage flavour of a cell; the classic leakage/speed trade.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub enum VtFlavor {
     /// Low VT: fastest, leakiest.
     LowVt,
@@ -174,7 +171,7 @@ impl VtFlavor {
 }
 
 /// A concrete library cell: a kind at a drive strength and VT flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LibCell {
     /// Logic function.
     pub kind: CellKind,

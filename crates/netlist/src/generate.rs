@@ -10,7 +10,6 @@
 use crate::cell::{CellKind, LibCell};
 use crate::graph::{NetId, Netlist, NetlistBuilder};
 use crate::NetlistError;
-use serde::{Deserialize, Serialize};
 
 /// Simple xorshift64* RNG so generation is deterministic without pulling a
 /// dependency into hot construction paths.
@@ -45,7 +44,7 @@ impl XorShift64 {
 }
 
 /// The paper's design driver classes (§5(2)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DesignClass {
     /// Control-dominated processor core (PULPino-like).
     Cpu,
@@ -185,7 +184,7 @@ impl std::fmt::Display for DesignClass {
 }
 
 /// A specification for synthetic design generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DesignSpec {
     /// Design driver class.
     pub class: DesignClass,

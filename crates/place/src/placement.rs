@@ -3,10 +3,9 @@
 use crate::floorplan::Floorplan;
 use crate::PlaceError;
 use ideaflow_netlist::graph::{Driver, InstId, Netlist};
-use serde::{Deserialize, Serialize};
 
 /// An assignment of every instance to a distinct floorplan slot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// `slot[i]` is the flat slot id of instance `i`.
     pub slot: Vec<usize>,

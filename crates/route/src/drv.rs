@@ -12,10 +12,9 @@ use crate::RouteError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 /// Latent behaviour class of a detailed-routing run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RouterBehavior {
     /// DRVs fall quickly; run cleanly converges (Fig 9 green).
     FastConverge,
@@ -74,7 +73,7 @@ impl Default for DrvConfig {
 
 /// One run's per-iteration DRV counts (`counts\[0\]` is iteration 1's
 /// report; length = configured iterations).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DrvTrajectory {
     /// DRV count after each iteration.
     pub counts: Vec<u64>,

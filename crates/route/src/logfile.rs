@@ -11,10 +11,9 @@ use crate::drv::{simulate, DrvConfig, DrvTrajectory, RouterBehavior};
 use crate::RouteError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A parsed detailed-router logfile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouterLogfile {
     /// Identifier (synthetic design/run name).
     pub name: String,
@@ -31,7 +30,7 @@ impl RouterLogfile {
 }
 
 /// A weighted mix of behaviour classes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassMix {
     /// Weight of [`RouterBehavior::FastConverge`].
     pub fast: f64,

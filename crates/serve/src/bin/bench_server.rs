@@ -2,7 +2,7 @@
 //! daemon.
 //!
 //! ```text
-//! bench_server [--quick] [--clients N] [--requests N] [--out BENCH_server.json]
+//! bench_server [--quick] [--out BENCH_server.json]
 //! ```
 //!
 //! Drives ≥ 100 concurrent clients through a submit/poll/cancel mix
@@ -22,6 +22,11 @@ use std::time::{Duration, Instant};
 
 use ideaflow_serve::{Daemon, DaemonConfig};
 
+/// `(clients, requests per client)` for `--quick` (the CI gate) and
+/// for the full run that `BENCH_server.json` records.
+const QUICK_LOAD: (usize, usize) = (100, 6);
+const FULL_LOAD: (usize, usize) = (120, 20);
+
 #[derive(Default)]
 struct Tally {
     acked: Vec<String>,
@@ -36,13 +41,7 @@ struct Tally {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let clients: usize = flag_value(&args, "--clients")
-        .map_or(if quick { 100 } else { 120 }, |v| {
-            v.parse().expect("--clients")
-        });
-    let requests: usize = flag_value(&args, "--requests").map_or(if quick { 6 } else { 20 }, |v| {
-        v.parse().expect("--requests")
-    });
+    let (clients, requests) = if quick { QUICK_LOAD } else { FULL_LOAD };
     let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_server.json".to_owned());
 
     let state_dir = scratch_dir();

@@ -1,25 +1,22 @@
 //! Journal analysis: the text renderings behind the `ifjournal` CLI.
 //!
-//! Each view exists in two shapes: a streaming **builder** that folds
-//! one [`RunEvent`] at a time (so multi-GB corpora render in O(state)
-//! memory — feed it from a [`crate::EventStream`]), and a convenience
-//! function over a fully loaded [`JournalReader`] that delegates to it:
+//! Each view is a streaming **builder** that folds one [`RunEvent`] at
+//! a time, so multi-GB corpora render in O(state) memory — feed it from
+//! a [`crate::EventStream`]:
 //!
-//! - [`SummaryBuilder`] / [`summary_text`]: per-step event counts and
-//!   numeric-field stats;
-//! - [`tail_render`] / [`tail_text`]: the last N events, optionally
-//!   filtered to a step;
-//! - [`diff_summaries`] / [`diff_text`]: per-step/field mean deltas
-//!   between two journals — the run-to-run comparison the paper's §3.3
-//!   METRICS loop needs to spot regressions across tool runs;
-//! - [`SpanCollector`] / [`flame_folded`]: span events folded into
-//!   `a;b;c <self-µs>` stacks, the input format of standard flamegraph
-//!   tooling;
-//! - [`FailureLedger`] / [`failures_text`]: every way a campaign
-//!   degraded without dying;
+//! - [`SummaryBuilder`]: per-step event counts and numeric-field stats;
+//! - [`tail_render`]: the last N events, as selected by
+//!   [`crate::codec::tail_events`];
+//! - [`diff_summaries`]: per-step/field mean deltas between two
+//!   journals — the run-to-run comparison the paper's §3.3 METRICS loop
+//!   needs to spot regressions across tool runs;
+//! - [`SpanCollector`]: span events folded into `a;b;c <self-µs>`
+//!   stacks, the input format of standard flamegraph tooling, or into
+//!   per-thread accounting;
+//! - [`FailureLedger`]: every way a campaign degraded without dying;
 //! - [`WatchState`]: the rolling live-tail status line.
 
-use crate::reader::{JournalReader, StepSummary};
+use crate::reader::StepSummary;
 use crate::stats::Histogram;
 use crate::RunEvent;
 use serde::Value;
@@ -90,8 +87,7 @@ impl SummaryBuilder {
         self.runs.len()
     }
 
-    /// The per-step summaries, sorted by step name (the shape
-    /// [`JournalReader::summary`] produces).
+    /// The per-step summaries, sorted by step name.
     #[must_use]
     pub fn summaries(&self) -> Vec<StepSummary> {
         let mut steps: Vec<&StepAcc> = self.steps.iter().collect();
@@ -141,16 +137,6 @@ impl SummaryBuilder {
     }
 }
 
-/// Renders the per-step summary as an aligned text table.
-#[must_use]
-pub fn summary_text(reader: &JournalReader) -> String {
-    let mut b = SummaryBuilder::new();
-    for e in &reader.events {
-        b.ingest(e);
-    }
-    b.render()
-}
-
 /// Renders already-selected tail events, one aligned line each.
 #[must_use]
 pub fn tail_render<'a>(events: impl IntoIterator<Item = &'a RunEvent>) -> String {
@@ -162,29 +148,11 @@ pub fn tail_render<'a>(events: impl IntoIterator<Item = &'a RunEvent>) -> String
     out
 }
 
-/// Renders the last `n` events (all runs interleaved, file order),
-/// optionally only those of one step.
-#[must_use]
-pub fn tail_text(reader: &JournalReader, step: Option<&str>, n: usize) -> String {
-    let events: Vec<&RunEvent> = match step {
-        Some(s) => reader.events_for_step(s),
-        None => reader.events.iter().collect(),
-    };
-    let start = events.len().saturating_sub(n);
-    tail_render(events[start..].iter().copied())
-}
-
-/// Per-step, per-field comparison of two journals: count deltas and
-/// mean deltas (with percentage where defined). Steps present in only
-/// one journal are flagged. Sorted by step for stable output.
-#[must_use]
-pub fn diff_text(a: &JournalReader, b: &JournalReader) -> String {
-    diff_summaries(&a.summary(), &b.summary())
-}
-
-/// [`diff_text`] over pre-computed summaries — the streaming path
-/// builds each side with a [`SummaryBuilder`] and diffs the results,
-/// never holding either journal's events in memory.
+/// Per-step, per-field comparison of two journals' summaries: count
+/// deltas and mean deltas (with percentage where defined). Steps present
+/// in only one journal are flagged. Sorted by step for stable output.
+/// Building each side with a [`SummaryBuilder`] diffs two journals
+/// without holding either one's events in memory.
 #[must_use]
 pub fn diff_summaries(sa: &[StepSummary], sb: &[StepSummary]) -> String {
     let mut steps: Vec<&str> = sa
@@ -261,8 +229,8 @@ struct SpanNode {
     secs: f64,
 }
 
-/// Streaming collector for `span.close` events (shared by
-/// [`flame_folded`] and [`by_thread_text`]). Holds one node per closed
+/// Streaming collector for `span.close` events, rendered as folded
+/// flamegraph stacks or per-thread accounting. Holds one node per closed
 /// span — the only analysis state that scales with journal content
 /// rather than vocabulary, because stack reconstruction needs every
 /// span's parent link.
@@ -318,14 +286,6 @@ impl SpanCollector {
     }
 }
 
-fn collect_spans(reader: &JournalReader) -> SpanCollector {
-    let mut c = SpanCollector::new();
-    for e in &reader.events {
-        c.ingest(e);
-    }
-    c
-}
-
 /// Self time of a node: its span time minus its direct children's span
 /// time, clamped at zero. Children may have run on other threads (scope
 /// tasks parent under the spawning span), which is exactly the
@@ -340,18 +300,12 @@ fn self_secs(n: &SpanNode, nodes: &[SpanNode]) -> f64 {
     (n.secs - child_secs).max(0.0)
 }
 
-/// Folds `span.close` events into flamegraph folded-stack lines:
-/// `root;child;leaf <self-time-µs>`, one line per distinct stack, with
-/// self time = span time minus the time of its direct children
-/// (clamped at zero). Lines are merged and sorted so output is
-/// deterministic. Empty when the journal has no span events.
-#[must_use]
-pub fn flame_folded(reader: &JournalReader) -> String {
-    collect_spans(reader).flame_folded()
-}
-
 impl SpanCollector {
-    /// Renders the folded flamegraph stacks (see [`flame_folded`]).
+    /// Renders the spans as flamegraph folded-stack lines:
+    /// `root;child;leaf <self-time-µs>`, one line per distinct stack,
+    /// with self time = span time minus the time of its direct children
+    /// (clamped at zero). Lines are merged and sorted so output is
+    /// deterministic. Empty when the journal has no span events.
     #[must_use]
     pub fn flame_folded(&self) -> String {
         let nodes = &self.nodes;
@@ -385,21 +339,13 @@ impl SpanCollector {
         }
         out
     }
-}
 
-/// Per-thread span accounting (the `summary --by-thread` view): for
-/// each OS thread that closed spans, the span count, total self time,
-/// and the busiest span names by self time. Worker threads of the
-/// executor show up as `ifw-<n>`; spans from old journals without a
-/// `thread` field group under `unknown`. Sorted by self time
-/// descending so the hottest thread leads.
-#[must_use]
-pub fn by_thread_text(reader: &JournalReader) -> String {
-    collect_spans(reader).by_thread_text()
-}
-
-impl SpanCollector {
-    /// Renders the per-thread accounting (see [`by_thread_text`]).
+    /// Per-thread span accounting (the `summary --by-thread` view): for
+    /// each OS thread that closed spans, the span count, total self
+    /// time, and the busiest span names by self time. Worker threads of
+    /// the executor show up as `ifw-<n>`; spans from old journals
+    /// without a `thread` field group under `unknown`. Sorted by self
+    /// time descending so the hottest thread leads.
     #[must_use]
     pub fn by_thread_text(&self) -> String {
         let nodes = &self.nodes;
@@ -454,18 +400,7 @@ impl SpanCollector {
 /// injected-fault counts, retries, timeouts, early kills (with refunded
 /// model hours), censored bandit pulls, skipped multistart starts, and
 /// GWTW casualties — every way a campaign degraded without dying.
-/// Says so when the journal recorded no failures at all.
-#[must_use]
-pub fn failures_text(reader: &JournalReader) -> String {
-    let mut ledger = FailureLedger::new();
-    for e in &reader.events {
-        ledger.ingest(e);
-    }
-    ledger.render()
-}
-
-/// Streaming failure ledger: O(failure-vocabulary) state regardless of
-/// journal size.
+/// O(failure-vocabulary) state regardless of journal size.
 #[derive(Default)]
 pub struct FailureLedger {
     injected: usize,
@@ -529,7 +464,8 @@ impl FailureLedger {
         }
     }
 
-    /// Renders the failure table (see [`failures_text`]).
+    /// Renders the failure table; says so when the journal recorded no
+    /// failures at all.
     #[must_use]
     pub fn render(&self) -> String {
         let mut rows: Vec<(String, usize, String)> = Vec::new();
@@ -757,8 +693,29 @@ mod tests {
     use super::*;
     use crate::Journal;
 
-    fn reader(j: &Journal) -> JournalReader {
-        JournalReader::from_jsonl(&j.drain_lines().join("\n")).unwrap()
+    /// Feeds the journal's drained events to `ingest`, in order — the
+    /// in-memory form of `ifjournal`'s fold over an `EventStream`.
+    fn feed(j: &Journal, ingest: impl FnMut(&RunEvent)) {
+        let events = crate::parse_jsonl(&j.drain_lines().join("\n")).unwrap();
+        events.iter().for_each(ingest);
+    }
+
+    fn summary(j: &Journal) -> SummaryBuilder {
+        let mut b = SummaryBuilder::new();
+        feed(j, |e| b.ingest(e));
+        b
+    }
+
+    fn spans(j: &Journal) -> SpanCollector {
+        let mut c = SpanCollector::new();
+        feed(j, |e| c.ingest(e));
+        c
+    }
+
+    fn failures(j: &Journal) -> FailureLedger {
+        let mut ledger = FailureLedger::new();
+        feed(j, |e| ledger.ingest(e));
+        ledger
     }
 
     #[test]
@@ -767,7 +724,7 @@ mod tests {
         j.emit("flow.place", &[("hpwl_um", 10.0.into())]);
         j.emit("flow.place", &[("hpwl_um", 20.0.into())]);
         j.emit("flow.route", &[("drv", 3u64.into())]);
-        let text = summary_text(&reader(&j));
+        let text = summary(&j).render();
         assert!(text.contains("flow.place"), "{text}");
         assert!(text.contains("flow.route"), "{text}");
         assert!(text.contains("hpwl_um=15"), "{text}");
@@ -778,21 +735,24 @@ mod tests {
         let j = Journal::in_memory("neg");
         j.emit("opt.delta", &[("gain", (-2.0).into())]);
         j.emit("opt.delta", &[("gain", 5.0.into())]);
-        let text = summary_text(&reader(&j));
+        let text = summary(&j).render();
         assert!(text.contains('!'), "negatives flag missing: {text}");
     }
 
     #[test]
-    fn tail_text_filters_and_limits() {
-        let j = Journal::in_memory("t");
+    fn tail_render_filters_and_limits_through_tail_events() {
+        let path = std::env::temp_dir().join(format!("ideaflow_tail_{}.jsonl", std::process::id()));
+        let j = Journal::to_file("t", &path).unwrap();
         for i in 0..10 {
             j.emit("a", &[("i", (i as u64).into())]);
             j.emit("b", &[("i", (i as u64).into())]);
         }
-        let r = reader(&j);
-        let all = tail_text(&r, None, 5);
+        j.finish();
+        let tail = |step, n| tail_render(&crate::codec::tail_events(&path, step, n).unwrap());
+        let all = tail(None, 5);
         assert_eq!(all.lines().count(), 5);
-        let only_a = tail_text(&r, Some("a"), 3);
+        let only_a = tail(Some("a"), 3);
+        std::fs::remove_file(&path).ok();
         assert_eq!(only_a.lines().count(), 3);
         assert!(only_a.lines().all(|l| l.contains(" a ")), "{only_a}");
         assert!(only_a.contains("i=9"), "{only_a}");
@@ -806,7 +766,7 @@ mod tests {
         let b = Journal::in_memory("b");
         b.emit("flow.place", &[("hpwl_um", 110.0.into())]);
         b.emit("b.only", &[]);
-        let text = diff_text(&reader(&a), &reader(&b));
+        let text = diff_summaries(&summary(&a).summaries(), &summary(&b).summaries());
         assert!(text.contains("hpwl_um=100.0 -> 110.0"), "{text}");
         assert!(text.contains("+10.0%"), "{text}");
         assert!(text.contains("only in a"), "{text}");
@@ -825,7 +785,7 @@ mod tests {
                 let _c2 = j.span("route");
             }
         }
-        let text = flame_folded(&reader(&j));
+        let text = spans(&j).flame_folded();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "{text}");
         assert!(lines.iter().any(|l| l.starts_with("flow ")), "{text}");
@@ -842,7 +802,7 @@ mod tests {
     fn flame_folded_is_empty_without_spans() {
         let j = Journal::in_memory("nospans");
         j.emit("flow.place", &[]);
-        assert!(flame_folded(&reader(&j)).is_empty());
+        assert!(spans(&j).flame_folded().is_empty());
     }
 
     #[test]
@@ -863,7 +823,7 @@ mod tests {
                 .join()
                 .unwrap();
         }
-        let text = by_thread_text(&reader(&j));
+        let text = spans(&j).by_thread_text();
         assert!(text.contains("w-1"), "{text}");
         assert!(text.contains("task="), "{text}");
         // Header plus at least two thread rows (the test thread and w-1).
@@ -894,7 +854,7 @@ mod tests {
             "gwtw.round",
             &[("round", 0u64.into()), ("casualties", 2u64.into())],
         );
-        let text = failures_text(&reader(&j));
+        let text = failures(&j).render();
         assert!(text.contains("fault.injected"), "{text}");
         assert!(text.contains("crash=1 hang=1"), "{text}");
         assert!(text.contains("run.retry"), "{text}");
@@ -907,7 +867,7 @@ mod tests {
     fn failures_text_without_failures_says_so() {
         let j = Journal::in_memory("clean");
         j.emit("flow.sample", &[("wns_ps", 5.0.into())]);
-        assert_eq!(failures_text(&reader(&j)), "no failure events\n");
+        assert_eq!(failures(&j).render(), "no failure events\n");
     }
 
     #[test]
@@ -935,9 +895,7 @@ mod tests {
             ],
         );
         let mut w = WatchState::new();
-        for e in &reader(&j).events {
-            w.ingest(e);
-        }
+        feed(&j, |e| w.ingest(e));
         assert!(!w.finished());
         let line = w.status_line(2.0);
         assert!(line.contains("round 1"), "{line}");
@@ -977,9 +935,7 @@ mod tests {
             ],
         );
         let mut w = WatchState::new();
-        for e in &reader(&j).events {
-            w.ingest(e);
-        }
+        feed(&j, |e| w.ingest(e));
         let line = w.status_line(0.0);
         assert!(line.contains("alerts: none"), "{line}");
         assert!(
@@ -988,9 +944,7 @@ mod tests {
         );
         j.finish();
         let mut w2 = WatchState::new();
-        for e in &reader(&j).events {
-            w2.ingest(e);
-        }
+        feed(&j, |e| w2.ingest(e));
         assert!(w2.finished());
     }
 
@@ -998,6 +952,6 @@ mod tests {
     fn by_thread_text_without_spans_says_so() {
         let j = Journal::in_memory("ns");
         j.emit("x", &[]);
-        assert_eq!(by_thread_text(&reader(&j)), "no span events\n");
+        assert_eq!(spans(&j).by_thread_text(), "no span events\n");
     }
 }

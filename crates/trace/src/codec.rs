@@ -78,6 +78,11 @@ const FRAME_INDEX: u8 = 3;
 /// frames cannot recurse the stack away.
 const MAX_DEPTH: usize = 64;
 
+/// Most undefined ids a reader's name table may hold at once. Writer
+/// threads racing the interner leave a few short-lived gaps; a corrupt
+/// id far past the defined names must not size the table.
+const MAX_NAME_GAPS: usize = 1 << 16;
+
 /// The on-disk encoding of a journal file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalFormat {
@@ -592,10 +597,64 @@ impl From<DecodeError> for std::io::Error {
     }
 }
 
+/// The reader's id → name table. Sparse: threads define their
+/// first-use ids out of numeric order, so id 6 may be defined frames
+/// before id 5. Well-formed files never *reference* an undefined id, so
+/// hitting a hole is a corruption diagnostic.
+#[derive(Clone, Default)]
+struct Names {
+    slots: Vec<Option<String>>,
+    /// How many slots are `None`.
+    gaps: usize,
+}
+
+impl Names {
+    /// Defines `id`. Ids beyond the writer's `u32` range, or that would
+    /// leave more than [`MAX_NAME_GAPS`] ids undefined, are corrupt.
+    fn define(&mut self, id: u64, name: String) -> Result<(), String> {
+        if id > u64::from(u32::MAX) {
+            return Err(format!("name id {id} out of range"));
+        }
+        let id = id as usize;
+        if let Some(slot) = self.slots.get_mut(id) {
+            self.gaps -= usize::from(slot.is_none());
+            *slot = Some(name);
+            return Ok(());
+        }
+        let gaps = self.gaps + (id - self.slots.len());
+        if gaps > MAX_NAME_GAPS {
+            return Err(format!("name id {id} leaves {gaps} ids undefined"));
+        }
+        self.gaps = gaps;
+        self.slots.resize(id, None);
+        self.slots.push(Some(name));
+        Ok(())
+    }
+
+    fn get(&self, id: u64) -> Option<&str> {
+        self.slots.get(usize::try_from(id).ok()?)?.as_deref()
+    }
+
+    /// The table after an index frame: the first `base_len` ids of
+    /// `self` (the header dictionary), then the frame's dynamic names.
+    fn resumed(&self, base_len: u64, dynamic: &[String]) -> Result<Self, String> {
+        let mut names = Self::default();
+        for (id, name) in (0..base_len).zip(&self.slots) {
+            if let Some(name) = name {
+                names.define(id, name.clone())?;
+            }
+        }
+        for (i, name) in dynamic.iter().enumerate() {
+            names.define(base_len.saturating_add(i as u64), name.clone())?;
+        }
+        Ok(names)
+    }
+}
+
 fn decode_value(
     buf: &[u8],
     pos: &mut usize,
-    names: &mut Vec<Option<String>>,
+    names: &mut Names,
     depth: usize,
 ) -> Result<Value, String> {
     if depth > MAX_DEPTH {
@@ -667,31 +726,17 @@ fn decode_str(buf: &[u8], pos: &mut usize, what: &str) -> Result<String, String>
 }
 
 /// Decodes a name reference, absorbing an inline definition if present.
-/// The reader's table is sparse (`Vec<Option<_>>`): threads define
-/// their first-use ids out of numeric order, so id 6 may be defined
-/// frames before id 5. Well-formed files never *reference* an
-/// undefined id, so hitting a `None` is a corruption diagnostic.
-fn decode_name_mut(
-    buf: &[u8],
-    pos: &mut usize,
-    names: &mut Vec<Option<String>>,
-) -> Result<String, String> {
+fn decode_name_mut(buf: &[u8], pos: &mut usize, names: &mut Names) -> Result<String, String> {
     let x = need(get_varint(buf, pos)?, "name ref")?;
-    let id = (x >> 1) as usize;
-    if id > MAX_FRAME {
-        return Err(format!("name id {id} out of range"));
-    }
+    let id = x >> 1;
     if x & 1 == 1 {
         let name = decode_str(buf, pos, "name definition")?;
-        if names.len() <= id {
-            names.resize(id + 1, None);
-        }
-        names[id] = Some(name.clone());
+        names.define(id, name.clone())?;
         Ok(name)
     } else {
         names
             .get(id)
-            .and_then(|n| n.clone())
+            .map(str::to_owned)
             .ok_or_else(|| format!("reference to undefined name id {id}"))
     }
 }
@@ -707,7 +752,7 @@ pub struct BinaryDecoder {
     consumed: usize,
     /// Absolute offset of `buf[consumed]` in the underlying stream.
     pos: u64,
-    names: Vec<Option<String>>,
+    names: Names,
     seen_magic: bool,
     records: u64,
 }
@@ -726,7 +771,7 @@ impl BinaryDecoder {
             buf: Vec::new(),
             consumed: 0,
             pos: 0,
-            names: Vec::new(),
+            names: Names::default(),
             seen_magic: false,
             records: 0,
         }
@@ -735,8 +780,7 @@ impl BinaryDecoder {
     /// A decoder resuming mid-file (right after an index frame), with
     /// the name table reconstructed from the base dictionary plus the
     /// index frame's dynamic snapshot.
-    #[must_use]
-    pub fn resume(names: Vec<Option<String>>, pos: u64) -> Self {
+    fn resume(names: Names, pos: u64) -> Self {
         Self {
             buf: Vec::new(),
             consumed: 0,
@@ -829,26 +873,18 @@ impl BinaryDecoder {
         }
     }
 
-    fn decode_body(
-        body: &[u8],
-        names: &mut Vec<Option<String>>,
-    ) -> Result<Option<RunEvent>, String> {
+    fn decode_body(body: &[u8], names: &mut Names) -> Result<Option<RunEvent>, String> {
         let kind = *body.first().ok_or("empty frame")?;
         let mut p = 1usize;
         match kind {
             FRAME_DICT => {
-                let start = names.len();
-                let n = need(get_varint(body, &mut p)?, "dict count")? as usize;
-                if n > body.len() {
+                let start = names.slots.len() as u64;
+                let n = need(get_varint(body, &mut p)?, "dict count")?;
+                if n > body.len() as u64 {
                     return Err("dict count exceeds frame".to_owned());
                 }
-                for i in 0..n {
-                    let name = decode_str(body, &mut p, "dict name")?;
-                    let id = start + i;
-                    if names.len() <= id {
-                        names.resize(id + 1, None);
-                    }
-                    names[id] = Some(name);
+                for id in start..start + n {
+                    names.define(id, decode_str(body, &mut p, "dict name")?)?;
                 }
                 Ok(None)
             }
@@ -889,11 +925,7 @@ impl BinaryDecoder {
                 // a thread's defining frame was past this index) become
                 // known here.
                 for (i, name) in index.dynamic.into_iter().enumerate() {
-                    let id = index.base_len as usize + i;
-                    if names.len() <= id {
-                        names.resize(id + 1, None);
-                    }
-                    names[id] = Some(name);
+                    names.define(index.base_len.saturating_add(i as u64), name)?;
                 }
                 Ok(None)
             }
@@ -1396,7 +1428,7 @@ fn indexed_tail(
     // The base dictionary lives in the header; decode it once.
     file.seek(SeekFrom::Start(0))?;
     let mut header_dec = BinaryDecoder::new();
-    let mut base: Vec<Option<String>> = loop {
+    let base: Names = loop {
         let mut chunk = [0u8; CHUNK];
         let read = file.read(&mut chunk)?;
         if read == 0 {
@@ -1420,12 +1452,9 @@ fn indexed_tail(
         file.read_exact(&mut buf)?;
         let candidates = scan_candidates(&buf, start);
         if let Some(best) = pick_candidate(&candidates, n) {
-            if base.len() < best.base_len as usize {
-                base.resize(best.base_len as usize, None);
-            }
-            let mut names = base.clone();
-            names.truncate(best.base_len as usize);
-            names.extend(best.dynamic.iter().cloned().map(Some));
+            let Ok(names) = base.resumed(best.base_len, &best.dynamic) else {
+                return Ok(None); // let the full scan report the bad index
+            };
             let started_mid_file = best.resume_at > 0;
             let events = decode_from(file, best.resume_at, names, step, n)?;
             // A step filter can make the tail blocks too thin; only a
@@ -1489,14 +1518,14 @@ fn pick_candidate(candidates: &[TailCandidate], n: usize) -> Option<&TailCandida
     candidates
         .iter()
         .rev()
-        .find(|c| last.records_before - c.records_before >= n as u64)
+        .find(|c| last.records_before.saturating_sub(c.records_before) >= n as u64)
         .or_else(|| candidates.first())
 }
 
 fn decode_from(
     file: &mut File,
     resume_at: u64,
-    names: Vec<Option<String>>,
+    names: Names,
     step: Option<&str>,
     n: usize,
 ) -> std::io::Result<Vec<RunEvent>> {
@@ -1929,5 +1958,152 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), base.len(), "no duplicates");
+    }
+
+    /// An index-frame body with no steps, the given counts and names, and
+    /// a zero sync offset.
+    fn index_body(records_before: u64, base_len: u64, dynamic: &[&str]) -> Vec<u8> {
+        let mut body = vec![FRAME_INDEX];
+        body.extend_from_slice(&SYNC);
+        body.extend_from_slice(&[0; 8]);
+        for x in [records_before, 0, 0, 0, base_len, dynamic.len() as u64] {
+            put_varint(&mut body, x);
+        }
+        for name in dynamic {
+            put_varint(&mut body, name.len() as u64);
+            body.extend_from_slice(name.as_bytes());
+        }
+        body
+    }
+
+    #[test]
+    fn crafted_name_ids_are_corrupt_not_panics_or_giant_tables() {
+        // 43 bytes: one index frame whose base length is 2^64 - 1.
+        let mut huge_base = MAGIC.to_vec();
+        huge_base.extend_from_slice(&frame(index_body(0, u64::MAX, &["x"])));
+        // A 21-byte record frame defining name id 60,000,000 inline.
+        let mut body = vec![FRAME_RECORD, 0];
+        put_varint(&mut body, (60_000_000 << 1) | 1);
+        put_varint(&mut body, 8);
+        body.extend_from_slice(b"campaign");
+        put_varint(&mut body, 60_000_000 << 1);
+        body.push(0);
+        let mut far_id = MAGIC.to_vec();
+        far_id.extend_from_slice(&frame(body));
+        assert_eq!((huge_base.len(), far_id.len() - MAGIC.len()), (43, 21));
+        for bytes in [huge_base, far_id] {
+            let mut dec = BinaryDecoder::new();
+            dec.push(&bytes);
+            let err = dec.next_event().unwrap_err();
+            assert!(
+                matches!(err, DecodeError::Corrupt { offset: 8, .. }),
+                "{err}"
+            );
+            assert!(dec.names.slots.is_empty(), "table sized by a corrupt id");
+        }
+    }
+
+    #[test]
+    fn crafted_index_frames_fall_back_instead_of_panicking() {
+        let path =
+            std::env::temp_dir().join(format!("ideaflow_codec_idx_{}.ifj", std::process::id()));
+        // One record big enough for `tail_events` to take the indexed
+        // path, then index frames carrying their true sync offsets.
+        let write = |indexes: &[(u64, u64)]| {
+            let big = ev(
+                "r",
+                "big",
+                0,
+                vec![("pad", Value::Str("x".repeat(300 << 10)))],
+            );
+            let table = NameTable::with_base(base_names());
+            let mut bytes = header_bytes(&base_names());
+            bytes.extend_from_slice(&record_frame(&table, &mut ThreadNames::default(), &big));
+            for &(records_before, base_len) in indexes {
+                let mut body = index_body(records_before, base_len, &["x"]);
+                let sync_pos = bytes.len() + varint_len(body.len() as u64) + 1;
+                body[9..17].copy_from_slice(&(sync_pos as u64).to_le_bytes());
+                bytes.extend_from_slice(&frame(body));
+            }
+            std::fs::write(&path, bytes).unwrap();
+        };
+        let base_len = base_names().len() as u64;
+        // Record counts running backwards must not underflow the pick.
+        write(&[(5, base_len), (1, base_len)]);
+        assert_eq!(tail_events(&path, None, 1).unwrap().len(), 1);
+        // A base length past the id space must not size the name table.
+        write(&[(1, u64::MAX)]);
+        let err = tail_events(&path, None, 1).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Runs `bytes` through every reader (push decoder, file stream,
+    /// indexed tail): each may fail, none may panic.
+    fn decode_every_way(bytes: &[u8], path: &Path) {
+        let mut dec = StreamDecoder::new();
+        dec.push(bytes);
+        while let Ok(Some(_)) = dec.next_event() {}
+        let _ = dec.finish();
+        std::fs::write(path, bytes).unwrap();
+        EventStream::open(path).unwrap().for_each(drop);
+        let _ = tail_events(path, None, 3);
+        let _ = tail_events(path, Some("flow.place"), 3);
+    }
+
+    /// A binary journal from the live writer, past the indexed-tail size
+    /// threshold, with dynamic names, nested payloads and spans.
+    fn real_journal() -> &'static [u8] {
+        static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        BYTES.get_or_init(|| {
+            let path = std::env::temp_dir()
+                .join(format!("ideaflow_codec_real_{}.ifj", std::process::id()));
+            let j =
+                crate::Journal::to_file_with_format("fuzz", &path, JournalFormat::Binary).unwrap();
+            for i in 0..6000u64 {
+                let _span = (i % 100 == 0).then(|| j.span("fuzz.block"));
+                j.emit("flow.place", &[("hpwl_um", (i as f64 * 0.5).into())]);
+                let spec = Value::Object(vec![(
+                    format!("k{}", i % 7),
+                    Value::Array(vec![Value::Null]),
+                )]);
+                j.emit(
+                    "fuzz.step",
+                    &[("note", "padding text for size".into()), ("spec", spec)],
+                );
+            }
+            j.finish();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert!(
+                bytes.len() > 256 << 10,
+                "indexed tail needs {} > 256 KiB",
+                bytes.len()
+            );
+            bytes
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn decoders_survive_arbitrary_frames(tail in proptest::collection::vec(0u8..=255, 0..512)) {
+            let path = std::env::temp_dir().join(format!("ideaflow_codec_arb_{}.ifj", std::process::id()));
+            decode_every_way(&[&MAGIC[..], &tail].concat(), &path);
+            std::fs::remove_file(&path).ok();
+        }
+
+        #[test]
+        fn decoders_survive_bit_flips_of_a_real_journal(flips in proptest::collection::vec(0u64..u64::MAX, 1..8)) {
+            let mut bytes = real_journal().to_vec();
+            for bit in flips {
+                let bit = (bit % (bytes.len() as u64 * 8)) as usize;
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            let path = std::env::temp_dir().join(format!("ideaflow_codec_flip_{}.ifj", std::process::id()));
+            decode_every_way(&bytes, &path);
+            std::fs::remove_file(&path).ok();
+        }
     }
 }

@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 pub mod analyze;
 pub mod codec;
@@ -67,7 +67,7 @@ pub use telemetry::TelemetryRegistry;
 
 /// One journaled event: a step of a named run, with a monotone sequence
 /// number and a free-form JSON payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunEvent {
     /// The run this event belongs to.
     pub run_id: String,
@@ -79,6 +79,33 @@ pub struct RunEvent {
     pub seq: u64,
     /// Event payload; an object for all events this workspace emits.
     pub payload: Value,
+}
+
+/// The JSONL line shape: one object whose keys are the fields in
+/// declaration order.
+impl Serialize for RunEvent {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("run_id".to_owned(), self.run_id.to_value()),
+            ("step".to_owned(), self.step.to_value()),
+            ("seq".to_owned(), self.seq.to_value()),
+            ("payload".to_owned(), self.payload.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for RunEvent {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| DeError::new(format!("expected object for `RunEvent`, got {v:?}")))?;
+        Ok(Self {
+            run_id: serde::field(obj, "run_id", "RunEvent")?,
+            step: serde::field(obj, "step", "RunEvent")?,
+            seq: serde::field(obj, "seq", "RunEvent")?,
+            payload: serde::field(obj, "payload", "RunEvent")?,
+        })
+    }
 }
 
 enum Sink {
@@ -944,5 +971,60 @@ mod tests {
         assert!(j.drain_lines().is_empty());
         assert_eq!(registry.counter_value("journal.events"), Some(1));
         assert_eq!(registry.counter_value("c"), Some(2));
+    }
+
+    /// The JSONL wire form of one event and the parse errors for three
+    /// malformed lines, byte for byte: field order, whole floats as
+    /// ints, `null`, nested objects, string escapes, and the messages
+    /// `ifjournal lint` and `parse_jsonl` surface.
+    #[test]
+    fn run_event_json_is_pinned() {
+        let event = RunEvent {
+            run_id: "c0007.a1".to_owned(),
+            step: "campaign.spec".to_owned(),
+            seq: 42,
+            payload: Value::Object(vec![
+                ("best".to_owned(), Value::Float(3.0)),
+                (
+                    "note".to_owned(),
+                    Value::Str("say \"hi\"\tback\\\n\u{1}".to_owned()),
+                ),
+                ("missing".to_owned(), Value::Null),
+                (
+                    "spec".to_owned(),
+                    Value::Object(vec![
+                        ("kind".to_owned(), Value::Str("chaos".to_owned())),
+                        ("rounds".to_owned(), Value::Int(12)),
+                        ("rate".to_owned(), Value::Float(0.005)),
+                    ]),
+                ),
+            ]),
+        };
+        let line = serde_json::to_string(&event).unwrap();
+        assert_eq!(
+            line,
+            r#"{"run_id":"c0007.a1","step":"campaign.spec","seq":42,"payload":{"best":3,"note":"say \"hi\"\tback\\\n\u0001","missing":null,"spec":{"kind":"chaos","rounds":12,"rate":0.005}}}"#
+        );
+        let back: RunEvent = serde_json::from_str(&line).unwrap();
+        assert_eq!(back.payload.get("best"), Some(&Value::Int(3)));
+        assert_eq!(serde_json::to_string(&back).unwrap(), line);
+
+        let err = |text: &str| {
+            serde_json::from_str::<RunEvent>(text)
+                .unwrap_err()
+                .to_string()
+        };
+        assert_eq!(
+            err("[1, 2]"),
+            "expected object for `RunEvent`, got Array([Int(1), Int(2)])"
+        );
+        assert_eq!(
+            err(r#"{"run_id": "r", "step": "s", "payload": {}}"#),
+            "missing field `seq` for `RunEvent`"
+        );
+        assert_eq!(
+            err(r#"{"run_id": "r", "step": "s", "seq": "7", "payload": {}}"#),
+            r#"field `seq` of `RunEvent`: expected integer, got Str("7")"#
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! The reader/aggregator half of the journal: parse JSONL back into
 //! [`RunEvent`]s and summarize them per step.
 
+use crate::analyze::SummaryBuilder;
 use crate::stats::{FieldStats, Histogram};
 use crate::RunEvent;
 use serde::Value;
@@ -84,45 +85,11 @@ impl JournalReader {
     /// step name for stable output.
     #[must_use]
     pub fn summary(&self) -> Vec<StepSummary> {
-        let mut steps: Vec<String> = Vec::new();
+        let mut builder = SummaryBuilder::new();
         for e in &self.events {
-            if !steps.contains(&e.step) {
-                steps.push(e.step.clone());
-            }
+            builder.ingest(e);
         }
-        steps.sort();
-        steps
-            .into_iter()
-            .map(|step| {
-                let events = self.events_for_step(&step);
-                let mut fields: Vec<(String, Histogram)> = Vec::new();
-                for e in &events {
-                    let Some(obj) = e.payload.as_object() else {
-                        continue;
-                    };
-                    for (k, v) in obj {
-                        let x = match v {
-                            Value::Float(f) => *f,
-                            Value::Int(i) => *i as f64,
-                            _ => continue,
-                        };
-                        match fields.iter_mut().find(|(n, _)| n == k) {
-                            Some((_, h)) => h.record(x),
-                            None => {
-                                let mut h = Histogram::new();
-                                h.record(x);
-                                fields.push((k.clone(), h));
-                            }
-                        }
-                    }
-                }
-                StepSummary {
-                    step,
-                    count: events.len(),
-                    fields: fields.into_iter().map(|(n, h)| (n, h.stats())).collect(),
-                }
-            })
-            .collect()
+        builder.summaries()
     }
 
     /// Statistics of `value_field` over the events of `step`, grouped by

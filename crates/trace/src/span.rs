@@ -42,7 +42,7 @@
 //! into any attached [`crate::TelemetryRegistry`] live.
 //!
 //! The `ifjournal flame` subcommand folds these events into
-//! flamegraph-compatible stacks ([`crate::analyze::flame_folded`]).
+//! flamegraph-compatible stacks ([`crate::analyze::SpanCollector::flame_folded`]).
 
 use std::cell::RefCell;
 use std::sync::atomic::Ordering;
