@@ -1,8 +1,7 @@
 //! E-F6a harness: Go-With-The-Winners vs independent threads (Fig 6a).
 //!
 //! Besides the plain Fig 6a table, `--chaos` runs the fault-injected
-//! GWTW campaign over the real flow-option tree (the chaos-smoke
-//! workload):
+//! GWTW campaign over the real flow-option tree (the chaos workload):
 //!
 //! ```text
 //! fig06a_gwtw --chaos [--journal camp.jsonl]      full campaign

@@ -100,7 +100,7 @@ pub fn run_ams(dim: usize, starts: usize, seed: u64) -> AmsPanel {
 }
 
 /// Configuration of the fault-injected GWTW campaign over the real
-/// flow-option tree — the chaos-smoke workload.
+/// flow-option tree — the `fig06a_gwtw --chaos` workload.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
     /// Design seed for the SP&R flow.

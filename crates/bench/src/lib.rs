@@ -7,7 +7,8 @@
 //!   the paper reports;
 //! - the workspace integration tests assert the *shape* targets of
 //!   `DESIGN.md` §4 against the same data;
-//! - the Criterion benches in `benches/` measure the underlying kernels.
+//! - `tests/harness_cli.rs` drives the binaries' shared flags end to
+//!   end.
 //!
 //! Absolute numbers are not expected to match the paper (our substrate is
 //! a simulator, not the authors' 14nm testbed); shapes are.

@@ -6,17 +6,21 @@
 //!
 //! Prints `listening on 127.0.0.1:<port>` once ready (harnesses parse
 //! it), then blocks until `POST /shutdown` arrives, at which point it
-//! drains gracefully: submissions get 503, running campaigns are
-//! checkpointed at their next round barrier for resume on the next
-//! start, journals are flushed. A `kill -9` instead exercises the
-//! crash-recovery path: restart with the same `--state-dir` and every
-//! acked submission is still there, in-flight campaigns resume.
+//! drains gracefully between a `draining` and a `drained` line:
+//! submissions get 503, running campaigns are checkpointed at their
+//! next round barrier for resume on the next start, journals are
+//! flushed. A status line never fails the daemon: once nobody reads
+//! stdout, it is dropped and the drain still exits 0. A `kill -9`
+//! instead exercises the crash-recovery path: restart with the same
+//! `--state-dir` and every acked submission is still there, in-flight
+//! campaigns resume.
 //!
 //! `IDEAFLOW_SERVE_ROUND_HOLD_MS` (env) paces chaos campaigns by
 //! sleeping that long after each GWTW round — kill/cancel harnesses
 //! use it to reliably catch a campaign mid-flight; results are
 //! bit-identical with or without it.
 
+use std::io::Write;
 use std::time::Duration;
 
 use ideaflow_serve::{Daemon, DaemonConfig};
@@ -43,18 +47,24 @@ fn main() {
     }
     let mut daemon = Daemon::start(&cfg).unwrap_or_else(|e| panic!("cannot start daemon: {e}"));
     if daemon.recovered() > 0 {
-        println!(
+        status(&format!(
             "recovered: {} in-flight campaign(s) resume",
             daemon.recovered()
-        );
+        ));
     }
-    println!("listening on 127.0.0.1:{}", daemon.port());
+    status(&format!("listening on 127.0.0.1:{}", daemon.port()));
     while !daemon.shutdown_requested() {
         std::thread::sleep(Duration::from_millis(50));
     }
-    println!("draining");
+    status("draining");
     daemon.drain();
-    println!("drained");
+    status("drained");
+}
+
+/// Prints one status line. Unlike `println!`, a closed stdout (the
+/// harness that parsed the port has gone) is ignored, not a panic.
+fn status(line: &str) {
+    let _ = writeln!(std::io::stdout(), "{line}");
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {

@@ -14,8 +14,9 @@ use serde::Value;
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignKind {
     /// Fault-injected GWTW over the real flow-option tree (the
-    /// chaos-smoke workload) — the only kind with checkpoint-resume
-    /// state worth keeping (`flow.sample` events in its journal).
+    /// `fig06a_gwtw --chaos` workload) — the only kind with
+    /// checkpoint-resume state worth keeping (`flow.sample` events in
+    /// its journal).
     Chaos {
         /// GWTW review rounds.
         rounds: usize,
@@ -25,7 +26,8 @@ pub enum CampaignKind {
         fault_rate: f64,
     },
     /// GWTW vs independent threads on a synthetic big-valley landscape
-    /// (pure math, ms-scale — the `bench_server` load unit).
+    /// (pure math, ms-scale — the load unit of the daemon's overload
+    /// test and of `campaign_bench`'s `short_campaigns`).
     Gwtw {
         /// Landscape dimension.
         dim: usize,

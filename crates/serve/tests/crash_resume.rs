@@ -1,19 +1,22 @@
 //! Crash-resume against the real `ideaflow_serve` binary: `kill -9`
 //! mid-campaign, restart on the same state dir, and the recovered
 //! campaign must finish with a best bit-identical to an uninterrupted
-//! run — the ISSUE's headline acceptance criterion, driven end-to-end
-//! through the process boundary (no in-process shortcuts).
+//! run, driven end-to-end through the process boundary (no in-process
+//! shortcuts). Every graceful shutdown must exit 0, including one whose
+//! stdout reader has gone.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
+use std::time::Duration;
 
 const SPEC: &str = r#"{"kind": "chaos", "rounds": 12}"#;
 
 struct Server {
     child: Child,
+    /// The child's stdout, still open after the `listening` line.
+    stdout: Option<BufReader<ChildStdout>>,
     port: u16,
     recovered: bool,
 }
@@ -37,10 +40,10 @@ impl Server {
             cmd.env_remove("IDEAFLOW_SERVE_ROUND_HOLD_MS");
         }
         let mut child = cmd.spawn().expect("spawn ideaflow_serve");
-        let stdout = child.stdout.take().expect("piped stdout");
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
         let mut recovered = false;
         let mut port = None;
-        for line in BufReader::new(stdout).lines() {
+        for line in stdout.by_ref().lines() {
             let line = line.expect("child stdout");
             if line.starts_with("recovered:") {
                 recovered = true;
@@ -52,9 +55,22 @@ impl Server {
         }
         Self {
             child,
+            stdout: Some(stdout),
             port: port.expect("child printed its port"),
             recovered,
         }
+    }
+
+    /// `POST /shutdown`, then waits for the daemon to exit on its own.
+    /// Returns its exit status and what it printed after `listening`.
+    fn shutdown(mut self) -> (ExitStatus, String) {
+        let resp = request(self.port, "POST", "/shutdown", None);
+        assert!(resp.starts_with("HTTP/1.1 202"), "{resp}");
+        let mut printed = String::new();
+        if let Some(mut stdout) = self.stdout.take() {
+            stdout.read_to_string(&mut printed).expect("child stdout");
+        }
+        (self.child.wait().expect("reap"), printed)
     }
 }
 
@@ -65,7 +81,7 @@ impl Drop for Server {
     }
 }
 
-fn request(port: u16, method: &str, path: &str, body: Option<&str>) -> String {
+fn send(port: u16, method: &str, path: &str, body: Option<&str>) -> TcpStream {
     let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect to the daemon");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -76,20 +92,13 @@ fn request(port: u16, method: &str, path: &str, body: Option<&str>) -> String {
         body.len()
     );
     stream.write_all(req.as_bytes()).expect("send request");
-    let mut out = String::new();
-    let _ = stream.read_to_string(&mut out);
-    out
+    stream
 }
 
-fn wait_for<T>(what: &str, mut probe: impl FnMut() -> Option<T>) -> T {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        if let Some(v) = probe() {
-            return v;
-        }
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+fn request(port: u16, method: &str, path: &str, body: Option<&str>) -> String {
+    let mut out = String::new();
+    let _ = send(port, method, path, body).read_to_string(&mut out);
+    out
 }
 
 fn field<'a>(resp: &'a str, key: &str) -> Option<&'a str> {
@@ -98,15 +107,18 @@ fn field<'a>(resp: &'a str, key: &str) -> Option<&'a str> {
     resp[at + pat.len()..].split('"').next()
 }
 
+/// Follows the campaign's journal until the daemon ends the stream
+/// (the campaign is terminal), then returns its status.
 fn wait_done(port: u16, id: &str) -> String {
-    wait_for("campaign done", || {
-        let resp = request(port, "GET", &format!("/campaigns/{id}"), None);
-        if resp.contains("\"state\": \"done\"") {
-            Some(resp)
-        } else {
-            None
-        }
-    })
+    request(
+        port,
+        "GET",
+        &format!("/campaigns/{id}/journal?follow=1"),
+        None,
+    );
+    let resp = request(port, "GET", &format!("/campaigns/{id}"), None);
+    assert!(resp.contains("\"state\": \"done\""), "{resp}");
+    resp
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -119,19 +131,18 @@ fn scratch(tag: &str) -> PathBuf {
 fn sigkill_mid_campaign_then_restart_resumes_bit_identical() {
     // Baseline: the same spec, uninterrupted, on a fresh state dir.
     let base_dir = scratch("base");
-    let baseline_bits;
-    {
-        let server = Server::start(&base_dir);
-        assert!(!server.recovered, "fresh state dir has nothing to recover");
-        let resp = request(server.port, "POST", "/campaigns", Some(SPEC));
-        assert!(resp.starts_with("HTTP/1.1 201"), "{resp}");
-        let id = field(&resp, "id").expect("id in 201 body").to_owned();
-        let done = wait_done(server.port, &id);
-        baseline_bits = field(&done, "best_bits").expect("best_bits").to_owned();
-        let resp = request(server.port, "POST", "/shutdown", None);
-        assert!(resp.starts_with("HTTP/1.1 202"), "{resp}");
-        let _ = server; // dropped: killed if the drain hangs
-    }
+    let mut server = Server::start(&base_dir);
+    assert!(!server.recovered, "fresh state dir has nothing to recover");
+    let resp = request(server.port, "POST", "/campaigns", Some(SPEC));
+    assert!(resp.starts_with("HTTP/1.1 201"), "{resp}");
+    let id = field(&resp, "id").expect("id in 201 body").to_owned();
+    let done = wait_done(server.port, &id);
+    let baseline_bits = field(&done, "best_bits").expect("best_bits").to_owned();
+    // Nobody reads stdout any more: the drain's status lines must not
+    // take the daemon down with them.
+    drop(server.stdout.take());
+    let (status, _) = server.shutdown();
+    assert!(status.success(), "drain with a closed stdout: {status}");
     let _ = std::fs::remove_dir_all(&base_dir);
 
     // The victim: SIGKILL once the campaign is visibly mid-flight
@@ -142,15 +153,17 @@ fn sigkill_mid_campaign_then_restart_resumes_bit_identical() {
     let resp = request(victim.port, "POST", "/campaigns", Some(SPEC));
     assert!(resp.starts_with("HTTP/1.1 201"), "{resp}");
     let id = field(&resp, "id").expect("id in 201 body").to_owned();
-    wait_for("first gwtw round in the journal", || {
-        let resp = request(
-            victim.port,
-            "GET",
-            &format!("/campaigns/{id}/journal"),
-            None,
-        );
-        resp.contains("gwtw.round").then_some(())
-    });
+    let follow = send(
+        victim.port,
+        "GET",
+        &format!("/campaigns/{id}/journal?follow=1"),
+        None,
+    );
+    let first_round = BufReader::new(follow)
+        .lines()
+        .map_while(Result::ok)
+        .any(|line| line.contains("gwtw.round"));
+    assert!(first_round, "the journal stream ended before a gwtw round");
     victim.child.kill().expect("SIGKILL the daemon");
     victim.child.wait().expect("reap");
 
@@ -172,8 +185,8 @@ fn sigkill_mid_campaign_then_restart_resumes_bit_identical() {
         "kill -9 + resume must be bit-identical to an uninterrupted run"
     );
 
-    let resp = request(server.port, "POST", "/shutdown", None);
-    assert!(resp.starts_with("HTTP/1.1 202"), "{resp}");
-    drop(server);
+    let (status, printed) = server.shutdown();
+    assert!(status.success(), "graceful drain: {status}");
+    assert!(printed.lines().any(|l| l == "drained"), "{printed}");
     let _ = std::fs::remove_dir_all(&dir);
 }

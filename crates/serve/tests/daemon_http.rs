@@ -1,10 +1,13 @@
 //! End-to-end daemon tests over real sockets: submit/poll/cancel,
-//! admission control, graceful drain with checkpoint-resume, and the
-//! 1-vs-4-worker determinism contract.
+//! admission control under a concurrent storm with no acked submission
+//! lost, graceful drain with checkpoint-resume, and the 1-vs-4-worker
+//! determinism contract.
 
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use ideaflow_serve::{Daemon, DaemonConfig};
@@ -145,6 +148,90 @@ fn admission_control_sheds_with_429_and_retry_after() {
     let (resp, _) = submit(port, r#"{"kind": "gwtw", "seed": 100}"#);
     assert!(resp.starts_with("HTTP/1.1 201"), "{resp}");
 
+    daemon.drain();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// Releases `clients` threads at once, each submitting one cheap
+/// campaign. Returns each response's status code and id.
+fn storm(port: u16, clients: usize, seed_base: usize) -> Vec<(String, String)> {
+    let barrier = Arc::new(Barrier::new(clients));
+    let handles: Vec<_> = (0..clients)
+        .map(|c| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                let spec = format!(r#"{{"kind": "gwtw", "dim": 4, "seed": {}}}"#, seed_base + c);
+                let (resp, id) = submit(port, &spec);
+                (resp.get(9..12).unwrap_or("").to_owned(), id)
+            })
+        })
+        .collect();
+    handles
+        .into_iter()
+        .map(|h| h.join().expect("client thread"))
+        .collect()
+}
+
+fn count(results: &[(String, String)], code: &str) -> usize {
+    results.iter().filter(|(c, _)| c == code).count()
+}
+
+/// Records the storm's acked ids, then checks that every id acked so
+/// far is listed by `GET /campaigns`.
+fn assert_no_ack_lost(port: u16, acked: &mut BTreeSet<String>, storm: &[(String, String)]) {
+    acked.extend(
+        storm
+            .iter()
+            .filter(|(c, _)| c == "201")
+            .map(|(_, id)| id.clone()),
+    );
+    let resp = request(port, "GET", "/campaigns", "");
+    let lost: Vec<&String> = acked
+        .iter()
+        .filter(|id| !resp.contains(&format!("\"id\": \"{id}\"")))
+        .collect();
+    assert!(lost.is_empty(), "acked ids lost: {lost:?}");
+}
+
+#[test]
+fn overload_sheds_with_429_and_loses_no_ack() {
+    const CLIENTS: usize = 16;
+    let state = scratch("overload");
+    let mut cfg = DaemonConfig::new(&state);
+    cfg.workers = 0; // nothing claims, so shedding depends on count alone
+    cfg.queue_bound = 4;
+    let mut acked = BTreeSet::new();
+
+    // Live: every client races for 4 slots, so exactly 4 are acked and
+    // 12 are shed explicitly.
+    let mut daemon = Daemon::start(&cfg).unwrap();
+    let results = storm(daemon.port(), CLIENTS, 0);
+    assert_eq!(count(&results, "201"), 4, "{results:?}");
+    assert_eq!(count(&results, "429"), CLIENTS - 4, "{results:?}");
+    assert_no_ack_lost(daemon.port(), &mut acked, &results);
+    daemon.drain();
+    drop(daemon);
+
+    // After a drain: restart with workers claiming while a second storm
+    // submits; acks and sheds now race the workers.
+    cfg.workers = 2;
+    let mut daemon = Daemon::start(&cfg).unwrap();
+    assert_no_ack_lost(daemon.port(), &mut acked, &[]);
+    let results = storm(daemon.port(), CLIENTS, CLIENTS);
+    assert_eq!(
+        count(&results, "201") + count(&results, "429"),
+        CLIENTS,
+        "{results:?}"
+    );
+    assert_no_ack_lost(daemon.port(), &mut acked, &results);
+    daemon.drain();
+    drop(daemon);
+
+    // After a restart that drained running campaigns.
+    cfg.workers = 0;
+    let mut daemon = Daemon::start(&cfg).unwrap();
+    assert_no_ack_lost(daemon.port(), &mut acked, &[]);
     daemon.drain();
     let _ = std::fs::remove_dir_all(&state);
 }

@@ -5,8 +5,8 @@
 //! write; this module derives a Grafana dashboard (plus provisioning
 //! stubs) from it, so the committed `grafana/` directory can never
 //! drift from the metrics that actually exist. Output is a pure
-//! function of the registry: CI regenerates into a scratch directory
-//! and diffs against the committed copy.
+//! function of the registry: a unit test renders it into a scratch
+//! directory and compares it with the committed copy, file by file.
 //!
 //! Panel naming follows the live `/metrics` exposition
 //! ([`crate::telemetry`]): counters gain `_total` and are plotted as
@@ -248,5 +248,49 @@ mod tests {
             std::fs::read_to_string(dir.join("provisioning/dashboards/ideaflow.yml")).unwrap();
         assert!(yml.contains("apiVersion: 1"), "{yml}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every file under `dir`, as paths relative to it, sorted.
+    fn files_under(dir: &Path) -> Vec<PathBuf> {
+        let mut files = Vec::new();
+        let mut pending = vec![dir.to_path_buf()];
+        while let Some(d) = pending.pop() {
+            for entry in std::fs::read_dir(&d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    pending.push(path);
+                } else {
+                    files.push(path.strip_prefix(dir).unwrap().to_path_buf());
+                }
+            }
+        }
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn committed_dashboards_match_the_registry() {
+        // `diff -r` of a fresh render against the committed grafana/.
+        let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../grafana");
+        let fresh =
+            std::env::temp_dir().join(format!("ideaflow_grafana_check_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&fresh);
+        write_all(&fresh).unwrap();
+        let rendered = files_under(&fresh);
+        assert_eq!(
+            rendered,
+            files_under(&committed),
+            "grafana/ holds other files than the registry renders; \
+             rerun `ifjournal grafana grafana`"
+        );
+        for rel in &rendered {
+            assert!(
+                std::fs::read(fresh.join(rel)).unwrap()
+                    == std::fs::read(committed.join(rel)).unwrap(),
+                "grafana/{} is stale; rerun `ifjournal grafana grafana`",
+                rel.display()
+            );
+        }
+        std::fs::remove_dir_all(&fresh).ok();
     }
 }

@@ -91,12 +91,14 @@ fn every_surface_agrees_across_formats() {
     let jsonl = jsonl.to_str().unwrap();
     let binary = binary.to_str().unwrap();
 
-    for cmd in [
-        vec!["summary"],
-        vec!["summary", "--failures"],
-        vec!["tail", "-n", "5"],
-        vec!["tail", "-n", "3", "--step", "bandit.pull"],
-        vec!["flame"],
+    // Each command with a string its output must contain.
+    for (cmd, needle) in [
+        (vec!["summary"], "bandit.pull"),
+        (vec!["summary", "--failures"], "no failure events"),
+        (vec!["summary", "--by-thread"], "self_s"),
+        (vec!["tail", "-n", "5"], "journal.summary"),
+        (vec!["tail", "-n", "3", "--step", "bandit.pull"], "reward"),
+        (vec!["flame"], "flow.run_physical"),
     ] {
         let mut a = cmd.clone();
         a.push(jsonl);
@@ -106,16 +108,21 @@ fn every_surface_agrees_across_formats() {
         let out_b = ifjournal(&b);
         assert!(out_a.status.success(), "{cmd:?} on jsonl: {out_a:?}");
         assert!(out_b.status.success(), "{cmd:?} on binary: {out_b:?}");
+        for out in [&out_a, &out_b] {
+            assert!(stdout(out).contains(needle), "{cmd:?}: {}", stdout(out));
+        }
         let (mut norm_a, mut norm_b) = (
             strip_volatile(&stdout(&out_a)),
             strip_volatile(&stdout(&out_b)),
         );
-        if cmd[0] == "flame" {
-            // Flame widths derive from wall-clock span durations, which
-            // differ between the two fixture writes; compare structure.
+        if cmd[0] == "flame" || cmd.contains(&"--by-thread") {
+            // Flame widths and per-thread self times derive from
+            // wall-clock span durations, which differ between the two
+            // fixture writes; compare structure.
             let names_only = |s: &str| {
                 s.split_whitespace()
                     .filter(|t| t.parse::<f64>().is_err())
+                    .map(|t| t.split('=').next().unwrap_or(t))
                     .collect::<Vec<_>>()
                     .join(" ")
             };
@@ -142,7 +149,7 @@ fn every_surface_agrees_across_formats() {
     assert!(watch_a.status.success() && watch_b.status.success());
     assert_eq!(stdout(&watch_a), stdout(&watch_b));
     assert!(
-        stdout(&watch_a).contains("pulls 10"),
+        stdout(&watch_a).contains("pulls 10") && stdout(&watch_a).contains("alerts: none"),
         "{}",
         stdout(&watch_a)
     );

@@ -5,8 +5,8 @@
 //! after being killed mid-campaign and resumed from its journal.
 //!
 //! These are the acceptance criteria for the fault-injection harness;
-//! the CI chaos-smoke job exercises the same three properties through
-//! the `fig06a_gwtw --chaos` binary.
+//! `crates/bench/tests/harness_cli.rs` drives the kill/resume property
+//! through the `fig06a_gwtw --chaos` binary.
 
 use ideaflow::exec::{with_pool, PoolBuilder};
 use ideaflow::flow::cache::QorCache;
