@@ -888,19 +888,68 @@ mod tests {
         assert_eq!(ran_on, vec![caller]);
     }
 
+    /// A meeting point for `n` tasks. [`Rendezvous::arrive`] returns
+    /// whether all `n` arrived before a 10 s guard expired: on a pool
+    /// that cannot run `n` tasks at once, the early arrivals wait until
+    /// the guard gives up.
+    struct Rendezvous {
+        n: usize,
+        arrived: Mutex<usize>,
+        all_here: Condvar,
+    }
+
+    impl Rendezvous {
+        fn new(n: usize) -> Self {
+            Self {
+                n,
+                arrived: Mutex::new(0),
+                all_here: Condvar::new(),
+            }
+        }
+
+        fn arrive(&self) -> bool {
+            let mut arrived = self.arrived.lock();
+            *arrived += 1;
+            self.all_here.notify_all();
+            let (arrived, _) = self
+                .all_here
+                .wait_timeout_while(arrived, Duration::from_secs(10), |a| *a < self.n)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            *arrived == self.n
+        }
+    }
+
+    #[test]
+    fn par_map_runs_as_many_items_at_once_as_the_pool_has_threads() {
+        // What a parallel speedup rests on, checked without a timing
+        // threshold: every item of an N-item map on an N-thread pool
+        // is running at the same moment.
+        for threads in [2, 4] {
+            let pool = PoolBuilder::new().threads(threads).build();
+            let meet = Rendezvous::new(threads);
+            let met = pool.par_map(vec![(); threads], |_, ()| meet.arrive());
+            assert!(met.iter().all(|&m| m), "threads={threads}: {met:?}");
+        }
+    }
+
     #[test]
     fn workers_are_named_for_span_attribution() {
+        // Three tasks held at one rendezvous run on three threads. The
+        // helping caller can hold at most one of them, so at least two
+        // run on `ifw-*` workers.
         let pool = PoolBuilder::new().threads(3).build();
-        // Keep the caller busy so workers get a chance to pick tasks up.
-        let names = pool.par_map((0..64).collect::<Vec<u32>>(), |_, _| {
-            std::thread::sleep(Duration::from_micros(200));
-            ideaflow_trace::thread_label()
+        let meet = Rendezvous::new(3);
+        let seen = pool.par_map(vec![(); 3], |_, ()| {
+            (meet.arrive(), ideaflow_trace::thread_label())
         });
-        // On a multi-core host some tasks land on ifw-* workers; on a
-        // single-core host the caller may legally do everything. Either
-        // way every task reports a usable label.
-        assert!(names.iter().all(|n| !n.is_empty()));
-        assert!(pool.tasks_run() + 64 >= names.len() as u64);
+        assert!(seen.iter().all(|(met, _)| *met), "{seen:?}");
+        let names: std::collections::BTreeSet<&str> =
+            seen.iter().map(|(_, name)| name.as_str()).collect();
+        assert_eq!(names.len(), 3, "{seen:?}");
+        assert!(
+            names.iter().filter(|n| n.starts_with("ifw-")).count() >= 2,
+            "{seen:?}"
+        );
     }
 
     #[test]

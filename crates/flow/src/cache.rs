@@ -16,19 +16,25 @@
 //! only `flow.cache.hits` / `flow.cache.misses` counters (mirrored
 //! into any attached telemetry registry) reveal it.
 //!
-//! Two features support long chaos campaigns:
+//! **Counting rule.** A miss stands only for the insert that creates an
+//! entry; every other use of a stored key is a hit. [`QorCache::get`]
+//! counts hits only, and [`QorCache::insert`] counts a miss when it
+//! creates the entry or a hit when another worker stored the key while
+//! this one was computing it. Both counts are then a function of which
+//! keys a campaign evaluates, not of how pool workers interleave, so a
+//! deterministic campaign reports the same counts at any thread count.
 //!
-//! - **Bounded memory** ([`QorCache::with_capacity`]): each shard keeps
-//!   a coarse second-chance (clock) queue; once a shard exceeds its
-//!   slice of the capacity, unreferenced entries are evicted in
-//!   insertion order (a recent `get` grants one reprieve). The flow
-//!   counts evictions under `flow.cache.evictions`.
-//! - **Checkpoint restore** ([`QorCache::seed_from_journal`]): every
-//!   `flow.sample` journal event carries its cache key, so a killed
-//!   campaign's journal can rebuild the memo store and a resumed run
-//!   replays completed work as hits instead of recomputing it.
+//! **Unbounded.** The cache never evicts. A chaos campaign holds a few
+//! hundred entries, and the cache lives no longer than the campaign
+//! that built it.
+//!
+//! **Checkpoint restore** ([`QorCache::seed_from_journal`]): every
+//! `flow.sample` journal event carries its cache key, so a killed
+//! campaign's journal can rebuild the memo store and a resumed run
+//! replays completed work as hits instead of recomputing it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -36,89 +42,51 @@ use parking_lot::Mutex;
 
 use crate::spnr::QorSample;
 
-/// Default shard count: enough stripes that a handful of pool workers
-/// rarely collide, small enough to stay cheap to allocate.
-const DEFAULT_SHARDS: usize = 16;
+/// Shard count: enough stripes that a handful of pool workers rarely
+/// collide, small enough to stay cheap to allocate.
+const SHARDS: usize = 16;
 
-#[derive(Debug, Clone)]
-struct Entry {
-    qor: QorSample,
-    /// Second-chance reference bit: set on `get`, cleared (with one
-    /// reprieve) by the eviction clock hand.
-    referenced: bool,
-}
-
-#[derive(Debug, Default)]
-struct ShardState {
-    map: HashMap<(u64, u32), Entry>,
-    /// Clock queue over resident keys, oldest first.
-    queue: VecDeque<(u64, u32)>,
-}
-
-/// One lock stripe. Cache-line aligned, with its *own* hit/miss/evict
+/// One lock stripe. Cache-line aligned, with its *own* hit/miss
 /// counters, so two workers touching different shards never write the
-/// same line: a single shared `AtomicU64` trio bumped on every `get`
+/// same line: a single shared `AtomicU64` pair bumped on every `get`
 /// re-serializes the supposedly-striped hot path through cache-line
 /// ping-pong (false sharing) even when the locks themselves never
 /// collide. The public accessors sum over shards.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 struct Shard {
-    state: Mutex<ShardState>,
+    map: Mutex<HashMap<(u64, u32), QorSample>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
-#[derive(Debug)]
-struct Inner {
-    shards: Vec<Shard>,
-    /// Max entries per shard; `None` = unbounded.
-    shard_capacity: Option<usize>,
+impl Shard {
+    /// Stores `qor` unless the key is already present (every value for
+    /// a key is equal, because the flow is deterministic per key).
+    /// Returns whether this call created the entry.
+    fn store(&self, key: (u64, u32), qor: QorSample) -> bool {
+        match self.map.lock().entry(key) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(qor);
+                true
+            }
+        }
+    }
 }
 
 /// A sharded, thread-safe `(fingerprint, sample) -> QorSample` memo
 /// cache. Clones share storage and counters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QorCache {
-    inner: Arc<Inner>,
-}
-
-impl Default for QorCache {
-    fn default() -> Self {
-        Self::new()
-    }
+    shards: Arc<[Shard; SHARDS]>,
 }
 
 impl QorCache {
-    /// An unbounded cache with the default shard count.
+    /// An empty cache.
     #[must_use]
     pub fn new() -> Self {
-        Self::build(DEFAULT_SHARDS, None)
-    }
-
-    /// An unbounded cache with an explicit shard count (at least 1).
-    #[must_use]
-    pub fn with_shards(shards: usize) -> Self {
-        Self::build(shards, None)
-    }
-
-    /// A bounded cache holding at most `capacity` entries overall
-    /// (rounded up to a whole number per shard, minimum one each).
-    /// Overflow evicts via per-shard second-chance.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        let per_shard = capacity.div_ceil(DEFAULT_SHARDS).max(1);
-        Self::build(DEFAULT_SHARDS, Some(per_shard))
-    }
-
-    fn build(shards: usize, shard_capacity: Option<usize>) -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
-                shard_capacity,
-            }),
-        }
+        Self::default()
     }
 
     fn shard(&self, fingerprint: u64, sample: u32) -> &Shard {
@@ -126,84 +94,32 @@ impl QorCache {
         // multiply spreads consecutive sample indices across shards.
         let h = (fingerprint ^ (u64::from(sample) << 32 | u64::from(sample)))
             .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.inner.shards[(h >> 48) as usize % self.inner.shards.len()]
+        &self.shards[(h >> 48) as usize % SHARDS]
     }
 
-    /// Looks up a memoized sample, counting the hit or miss. A hit sets
-    /// the entry's reference bit, granting it one eviction reprieve.
+    /// Looks up a memoized sample, counting a hit if it is there. A
+    /// lookup that finds nothing counts nothing: the miss belongs to
+    /// the [`QorCache::insert`] that then stores the key.
     #[must_use]
     pub fn get(&self, fingerprint: u64, sample: u32) -> Option<QorSample> {
         let shard = self.shard(fingerprint, sample);
-        let found = {
-            let mut s = shard.state.lock();
-            s.map.get_mut(&(fingerprint, sample)).map(|e| {
-                e.referenced = true;
-                e.qor.clone()
-            })
-        };
-        let counter = if found.is_some() {
-            &shard.hits
-        } else {
-            &shard.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        let found = shard.map.lock().get(&(fingerprint, sample)).cloned();
+        if found.is_some() {
+            shard.hits.fetch_add(1, Ordering::Relaxed);
+        }
         found
     }
 
-    /// Memoizes a sample (last write wins; all writes for a key carry
-    /// the same value because the flow is deterministic per key).
-    /// Returns how many entries the shard evicted to stay within its
-    /// capacity (always 0 for unbounded caches).
-    pub fn insert(&self, fingerprint: u64, sample: u32, qor: QorSample) -> usize {
-        self.put(fingerprint, sample, qor).1
-    }
-
-    /// Inserts and reports `(was_new, evicted)`.
-    fn put(&self, fingerprint: u64, sample: u32, qor: QorSample) -> (bool, usize) {
-        let key = (fingerprint, sample);
+    /// Memoizes a freshly computed sample and returns whether this call
+    /// created the entry. Creating it counts the key's one miss. If
+    /// another worker stored the key first, the stored value is kept
+    /// (it is equal) and this call counts a hit.
+    pub fn insert(&self, fingerprint: u64, sample: u32, qor: QorSample) -> bool {
         let shard = self.shard(fingerprint, sample);
-        let mut s = shard.state.lock();
-        let was_new = match s.map.insert(
-            key,
-            Entry {
-                qor,
-                referenced: false,
-            },
-        ) {
-            Some(_) => false,
-            None => {
-                s.queue.push_back(key);
-                true
-            }
-        };
-        let mut evicted = 0usize;
-        if let Some(cap) = self.inner.shard_capacity {
-            // Second-chance sweep: pop the oldest key; a referenced
-            // entry is unreferenced and re-queued, the first
-            // unreferenced one is evicted. Bounded: one full queue lap
-            // clears every reference bit, so the loop always finds a
-            // victim on the second lap at the latest.
-            while s.map.len() > cap {
-                let Some(k) = s.queue.pop_front() else { break };
-                match s.map.get_mut(&k) {
-                    Some(e) if e.referenced && k != key => {
-                        e.referenced = false;
-                        s.queue.push_back(k);
-                    }
-                    Some(_) if k != key => {
-                        s.map.remove(&k);
-                        evicted += 1;
-                    }
-                    // Never evict the entry we just inserted; re-queue it.
-                    Some(_) => s.queue.push_back(k),
-                    None => {}
-                }
-            }
-        }
-        if evicted > 0 {
-            shard.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-        }
-        (was_new, evicted)
+        let created = shard.store((fingerprint, sample), qor);
+        let counter = if created { &shard.misses } else { &shard.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        created
     }
 
     /// Rebuilds the memo store from the `flow.sample` events of a run
@@ -211,8 +127,8 @@ impl QorCache {
     /// combined cache key (`fingerprint`, bitcast i64) alongside the
     /// QoR fields, so a killed campaign's completed evaluations replay
     /// as cache hits when the campaign is re-run. Returns how many
-    /// entries were restored (duplicate events collapse; entries may
-    /// still be evicted later if the cache is bounded).
+    /// entries were restored (duplicate events collapse). Restoring
+    /// counts neither hits nor misses.
     pub fn seed_from_journal(&self, reader: &ideaflow_trace::JournalReader) -> usize {
         reader.events.iter().filter(|e| self.seed_event(e)).count()
     }
@@ -265,55 +181,34 @@ impl QorCache {
             leakage_nw,
             runtime_hours: rt,
         };
-        self.put(fp as u64, sample, qor).0
+        let fp = fp as u64;
+        self.shard(fp, sample).store((fp, sample), qor)
     }
 
-    /// Lookups answered from the cache so far (summed over shards).
+    /// Uses of a stored key so far (summed over shards): lookups that
+    /// found it, plus inserts that found it already stored.
     #[must_use]
     pub fn hits(&self) -> u64 {
         self.sum_over_shards(|s| &s.hits)
     }
 
-    /// Lookups that fell through to a cold evaluation so far.
+    /// Inserts that created an entry so far.
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.sum_over_shards(|s| &s.misses)
     }
 
-    /// Entries evicted by the capacity bound so far.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.sum_over_shards(|s| &s.evictions)
-    }
-
     fn sum_over_shards(&self, pick: impl Fn(&Shard) -> &AtomicU64) -> u64 {
-        self.inner
-            .shards
+        self.shards
             .iter()
             .map(|s| pick(s).load(Ordering::Relaxed))
             .sum()
     }
 
-    /// `hits / (hits + misses)`, or 0 before any lookup.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let total = h + self.misses() as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            h / total
-        }
-    }
-
     /// Number of memoized entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.state.lock().map.len())
-            .sum()
+        self.shards.iter().map(|s| s.map.lock().len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -341,13 +236,32 @@ mod tests {
     fn get_insert_roundtrip_counts_hits_and_misses() {
         let c = QorCache::new();
         assert!(c.get(0xFEED, 1).is_none());
-        c.insert(0xFEED, 1, sample(1.0));
+        assert!(c.insert(0xFEED, 1, sample(1.0)));
         assert_eq!(c.get(0xFEED, 1), Some(sample(1.0)));
+        // A lookup that is never stored counts neither way.
         assert!(c.get(0xFEED, 2).is_none());
         assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 2);
-        assert!((c.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(c.misses(), 1);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn racing_inserts_count_one_miss_and_one_hit() {
+        // Two workers evaluate one key at once: both look it up before
+        // either stores it. Only the insert that creates the entry is
+        // a miss; the one that finds it stored is a hit.
+        let c = QorCache::new();
+        let both_looked = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    assert!(c.get(0xACE, 3).is_none());
+                    both_looked.wait();
+                    c.insert(0xACE, 3, sample(3.0));
+                });
+            }
+        });
+        assert_eq!((c.hits(), c.misses(), c.len()), (1, 1, 1));
     }
 
     #[test]
@@ -361,7 +275,7 @@ mod tests {
 
     #[test]
     fn keys_spread_over_shards() {
-        let c = QorCache::with_shards(8);
+        let c = QorCache::new();
         for i in 0..256u32 {
             c.insert(
                 u64::from(i).wrapping_mul(0x1234_5678_9ABC),
@@ -370,18 +284,16 @@ mod tests {
             );
         }
         assert_eq!(c.len(), 256);
-        let populated = c
-            .inner
-            .shards
-            .iter()
-            .filter(|s| !s.state.lock().map.is_empty())
-            .count();
-        assert!(populated >= 4, "only {populated} of 8 shards populated");
+        let populated = c.shards.iter().filter(|s| !s.map.lock().is_empty()).count();
+        assert!(
+            populated >= SHARDS / 2,
+            "only {populated} of {SHARDS} shards populated"
+        );
     }
 
     #[test]
     fn concurrent_use_is_consistent() {
-        let c = QorCache::with_shards(4);
+        let c = QorCache::new();
         std::thread::scope(|s| {
             for t in 0..4u32 {
                 let c = c.clone();
@@ -398,50 +310,11 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_floor() {
-        let c = QorCache::with_shards(0);
-        c.insert(1, 1, sample(1.0));
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn bounded_cache_evicts_oldest_unreferenced_entries() {
-        // 16 shards, capacity 16 -> one entry per shard. Every insert
-        // beyond the first into a shard must evict.
-        let c = QorCache::with_capacity(16);
-        for s in 0..200u32 {
-            c.insert(0xCAFE, s, sample(f64::from(s)));
-        }
-        assert!(c.len() <= 16, "len {} exceeds capacity", c.len());
-        assert_eq!(c.evictions(), 200 - c.len() as u64);
-    }
-
-    #[test]
-    fn second_chance_spares_recently_read_entries() {
-        // One shard slice sized for 4 entries: keep key 0 hot via get()
-        // while streaming others through; the hot key must survive the
-        // first rounds of eviction.
-        let c = QorCache::build(1, Some(4));
-        for s in 0..4u32 {
-            c.insert(1, s, sample(f64::from(s)));
-        }
-        assert!(c.get(1, 0).is_some());
-        c.insert(1, 100, sample(100.0));
-        // Key 0 was referenced: the clock hand reprieves it and evicts
-        // the oldest unreferenced key (1) instead.
-        assert_eq!(c.len(), 4);
-        assert!(c.get(1, 0).is_some(), "referenced entry evicted too early");
-        assert!(c.get(1, 1).is_none(), "oldest unreferenced entry survived");
-        assert!(c.evictions() >= 1);
-    }
-
-    #[test]
     fn unbounded_cache_never_evicts() {
         let c = QorCache::new();
         for s in 0..5_000u32 {
             c.insert(u64::from(s), s, sample(1.0));
         }
         assert_eq!(c.len(), 5_000);
-        assert_eq!(c.evictions(), 0);
     }
 }

@@ -352,10 +352,13 @@ impl SpnrFlow {
             runtime_hours: runtime,
         };
         if let Some(cache) = &self.cache {
-            let evicted = cache.insert(fp, sample, qor.clone());
-            self.journal.count("flow.cache.misses", 1);
-            if evicted > 0 {
-                self.journal.count("flow.cache.evictions", evicted as u64);
+            // Same rule as the cache's own counters: only the insert
+            // that creates the entry is a miss; a worker that computed
+            // the key alongside another one counts a hit.
+            if cache.insert(fp, sample, qor.clone()) {
+                self.journal.count("flow.cache.misses", 1);
+            } else {
+                self.journal.count("flow.cache.hits", 1);
             }
         }
         self.emit_sample(&qor, sample, fp);

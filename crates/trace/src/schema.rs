@@ -534,15 +534,11 @@ pub const COUNTERS: &[NameSchema] = &[
     },
     NameSchema {
         name: "flow.cache.hits",
-        doc: "QorCache hits",
+        doc: "QorCache hits (an insert that finds its key stored counts too)",
     },
     NameSchema {
         name: "flow.cache.misses",
-        doc: "QorCache misses",
-    },
-    NameSchema {
-        name: "flow.cache.evictions",
-        doc: "QorCache second-chance evictions",
+        doc: "QorCache misses (one per insert that creates an entry)",
     },
     NameSchema {
         name: "faults.injected",

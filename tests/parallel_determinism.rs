@@ -2,8 +2,8 @@
 //! must never change results. Every orchestration kernel that fans out —
 //! GWTW, adaptive multistart, the concurrent bandit schedule — is run on
 //! a 1-thread pool (the exact sequential baseline: `par_map` short-
-//! circuits inline) and on a 4-thread pool, and the outcomes must be
-//! bit-identical. Likewise the QoR memo cache: a warm cache must replay
+//! circuits inline) and on 2- and 4-thread pools, and the outcomes must
+//! be bit-identical. Likewise the QoR memo cache: a warm cache must replay
 //! cold results verbatim.
 
 use ideaflow::bandit::policy::ThompsonGaussian;
@@ -24,6 +24,15 @@ use ideaflow::opt::multistart::{adaptive_multistart, MultistartConfig};
 fn on_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     let pool = PoolBuilder::new().threads(threads).build();
     with_pool(&pool, f)
+}
+
+/// Asserts that `run` at 2 and at 4 threads reproduces `run(1)`, the
+/// sequential baseline, bit for bit.
+fn assert_same_at_any_thread_count<R: PartialEq + std::fmt::Debug>(run: impl Fn(usize) -> R) {
+    let sequential = run(1);
+    for threads in [2, 4] {
+        assert_eq!(run(threads), sequential, "{threads} threads vs 1");
+    }
 }
 
 #[test]
@@ -49,7 +58,7 @@ fn gwtw_is_bit_identical_across_thread_counts() {
             )
         })
     };
-    assert_eq!(run(1), run(4));
+    assert_same_at_any_thread_count(run);
 }
 
 #[test]
@@ -75,7 +84,7 @@ fn adaptive_multistart_is_bit_identical_across_thread_counts() {
             )
         })
     };
-    assert_eq!(run(1), run(4));
+    assert_same_at_any_thread_count(run);
 }
 
 #[test]
@@ -92,7 +101,7 @@ fn thompson_concurrent_schedule_is_bit_identical_across_thread_counts() {
                 .collect::<Vec<_>>()
         })
     };
-    assert_eq!(run(1), run(4));
+    assert_same_at_any_thread_count(run);
 }
 
 #[test]
@@ -117,7 +126,7 @@ fn frequency_arms_pulls_are_bit_identical_across_thread_counts() {
                 .collect::<Vec<_>>()
         })
     };
-    assert_eq!(run(1), run(4));
+    assert_same_at_any_thread_count(run);
 }
 
 #[test]
