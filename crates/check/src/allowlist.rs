@@ -40,11 +40,13 @@ pub struct Allowlist {
 }
 
 impl Allowlist {
-    /// Parses the TOML subset. Unknown keys, missing fields, and
-    /// anything but `[[allow]]` tables are errors — the allowlist is a
-    /// security-adjacent artifact and silent tolerance would hide typos
-    /// (a misspelled `lint =` would otherwise suppress nothing and the
-    /// finding would *still fail*, but with a confusing double report).
+    /// Parses the TOML subset. Unknown or repeated keys, missing
+    /// fields, and anything but `[[allow]]` tables are errors — the
+    /// allowlist is a security-adjacent artifact and silent tolerance
+    /// would hide typos (a misspelled `lint =` would otherwise suppress
+    /// nothing and the finding would *still fail*, but with a confusing
+    /// double report; a repeated `path =` would silently suppress a
+    /// different file than the one the entry's first line names).
     ///
     /// # Errors
     ///
@@ -52,6 +54,8 @@ impl Allowlist {
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut entries: Vec<AllowEntry> = Vec::new();
         let mut open = false;
+        // Keys set in the current table; each may appear once.
+        let mut keys: Vec<&str> = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let lineno = (i + 1) as u32;
             let line = raw.trim();
@@ -69,6 +73,7 @@ impl Allowlist {
                     line: lineno,
                 });
                 open = true;
+                keys.clear();
                 continue;
             }
             if line.starts_with('[') {
@@ -82,13 +87,20 @@ impl Allowlist {
             let (key, value) = line
                 .split_once('=')
                 .ok_or_else(|| format!("line {lineno}: expected `key = \"value\"`"))?;
+            let key = key.trim();
+            if keys.contains(&key) {
+                return Err(format!(
+                    "line {lineno}: repeated key `{key}` in one [[allow]] table"
+                ));
+            }
+            keys.push(key);
             let value = value.trim();
             let value = value
                 .strip_prefix('"')
                 .and_then(|v| v.strip_suffix('"'))
                 .ok_or_else(|| format!("line {lineno}: values must be double-quoted strings"))?;
             let entry = entries.last_mut().expect("open implies an entry");
-            match key.trim() {
+            match key {
                 "lint" => entry.lint = value.to_owned(),
                 "path" => entry.path = value.to_owned(),
                 "reason" => entry.reason = value.to_owned(),
@@ -164,5 +176,52 @@ mod tests {
     fn unquoted_value_is_rejected() {
         let err = Allowlist::parse("[[allow]]\nlint = wall-clock\n").unwrap_err();
         assert!(err.contains("double-quoted"), "{err}");
+    }
+
+    #[test]
+    fn repeated_key_is_rejected() {
+        let text =
+            "[[allow]]\nlint = \"wall-clock\"\npath = \"a.rs\"\npath = \"b.rs\"\nreason = \"r\"\n";
+        let err = Allowlist::parse(text).unwrap_err();
+        assert!(
+            err.contains("line 4: repeated key `path` in one [[allow]] table"),
+            "{err}"
+        );
+        // The same key in the next table is a new entry, not a repeat.
+        let two = "[[allow]]\nlint = \"a\"\npath = \"a.rs\"\nreason = \"r\"\n\
+                   [[allow]]\nlint = \"b\"\npath = \"b.rs\"\nreason = \"r\"\n";
+        assert_eq!(Allowlist::parse(two).unwrap().entries.len(), 2);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn parse_never_panics(
+            keys in proptest::collection::vec(0..4usize, 0..12),
+            noise in "[ -~\n]{0,24}",
+            at in 0usize..512,
+        ) {
+            // Generated entries, each key drawn from lint/path/reason
+            // (and an unknown one), so tables miss and repeat keys.
+            const KEYS: [&str; 4] = ["lint", "path", "reason", "lints"];
+            let mut text = String::new();
+            for (i, &k) in keys.iter().enumerate() {
+                if i % 3 == 0 {
+                    text += "[[allow]]\n";
+                }
+                text += &format!("{} = \"v{i}\"\n", KEYS[k]);
+            }
+            // Half the cases splice the random text in (all of the text,
+            // when no entries were generated).
+            if at < 256 {
+                text.insert_str(at.min(text.len()), &noise);
+            }
+            if let Ok(list) = Allowlist::parse(&text) {
+                for e in &list.entries {
+                    proptest::prop_assert!(!e.lint.is_empty());
+                    proptest::prop_assert!(!e.path.is_empty());
+                    proptest::prop_assert!(!e.reason.is_empty());
+                }
+            }
+        }
     }
 }

@@ -26,8 +26,7 @@
 //!   hands every closure its item index, so call sites that derive
 //!   per-index RNG seeds produce **bit-identical results at any thread
 //!   count** (results land in per-index slots; scheduling order cannot
-//!   reorder them);
-//! - [`ThreadPool::join`] for two-way forks.
+//!   reorder them).
 //!
 //! Thread count comes from the `IDEAFLOW_THREADS` env var (`0`/unset =
 //! one per core) or [`PoolBuilder::threads`]; at `1` the pool spawns no
@@ -48,10 +47,7 @@
 //! the no-livelock/no-lost-wakeup properties of the unfuzzed schedule,
 //! and because results are per-index slotted they must stay
 //! bit-identical under every seed (`tests/sched_fuzz.rs` asserts
-//! exactly that). Debug builds additionally carry `ideaflow_trace::hb`
-//! probes inside each queue's critical section, so a vector-clock
-//! happens-before checker can validate the pool's lock protocol while
-//! the schedule is being shaken.
+//! exactly that).
 //!
 //! Span parentage crosses the pool boundary: `scope.spawn` captures the
 //! spawning thread's open-span stack ([`SpanStack::capture`]) and
@@ -62,8 +58,8 @@
 //!
 //! When a [`TelemetryRegistry`] is attached ([`ThreadPool::attach_telemetry`])
 //! the pool exports `exec.workers` / `exec.workers_busy` /
-//! `exec.queue_depth` gauges and an `exec.tasks` counter into the
-//! Prometheus exposition.
+//! `exec.queue_depth` / `exec.tasks` gauges into the Prometheus
+//! exposition.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -71,7 +67,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, OnceLock};
 use std::time::Duration;
 
-use ideaflow_trace::{hb, SpanStack, TelemetryRegistry};
+use ideaflow_trace::{SpanStack, TelemetryRegistry};
 use parking_lot::Mutex;
 
 /// Environment variable selecting the global pool's thread count.
@@ -148,19 +144,6 @@ impl Inner {
         Some(splitmix64(seed ^ salt.rotate_left(17) ^ counter))
     }
 
-    /// The happens-before probe for queue `i`, run while that queue's
-    /// lock is held. `#[track_caller]` keeps witness sites at the real
-    /// push/pop location.
-    #[track_caller]
-    fn hb_queue(&self, i: usize) {
-        let kind = if i == 0 {
-            hb::LockKind::Injector
-        } else {
-            hb::LockKind::Deque
-        };
-        hb::guarded_access(kind, std::ptr::from_ref(self) as usize, i);
-    }
-
     fn push(&self, task: Task) {
         let queue = local_worker_index(self).map_or(0, |w| 1 + w);
         if self.fuzz_word().is_some_and(|w| w & 1 != 0) {
@@ -172,11 +155,7 @@ impl Inner {
         // underflow it. The brief over-count only makes a scanning worker
         // re-poll until the push below lands.
         self.pending.fetch_add(1, Ordering::SeqCst);
-        {
-            let mut q = self.queues[queue].lock();
-            self.hb_queue(queue);
-            q.push_back(task);
-        }
+        self.queues[queue].lock().push_back(task);
         // Dekker-style handshake with `worker_loop`: we store `pending`
         // then load `sleepers`; a parking worker stores `sleepers` then
         // loads `pending` — both SeqCst. In the total order either our
@@ -238,12 +217,9 @@ impl Inner {
     }
 
     /// Pops one task from queue `i` — LIFO for the owner's own deque,
-    /// FIFO for the injector and steals — probing the hb checker
-    /// inside the critical section.
-    #[track_caller]
+    /// FIFO for the injector and steals.
     fn pop_queue(&self, i: usize, lifo: bool) -> Option<Task> {
         let mut q = self.queues[i].lock();
-        self.hb_queue(i);
         let task = if lifo { q.pop_back() } else { q.pop_front() };
         drop(q);
         task.map(|t| self.note_pop(t))
@@ -503,16 +479,6 @@ impl ThreadPool {
         scope_on(&self.inner, body)
     }
 
-    /// Runs `a` and `b`, potentially in parallel, returning both
-    /// results. `a` runs on the calling thread.
-    pub fn join<RA: Send, RB: Send>(
-        &self,
-        a: impl FnOnce() -> RA + Send,
-        b: impl FnOnce() -> RB + Send,
-    ) -> (RA, RB) {
-        join_on(&self.inner, a, b)
-    }
-
     /// Maps `f` over `items` with their indices, in parallel, returning
     /// results in input order. Because `f` receives the item *index*,
     /// call sites that derive per-index seeds produce bit-identical
@@ -634,22 +600,6 @@ fn scope_on<'env, R>(inner: &Arc<Inner>, body: impl FnOnce(&Scope<'env>) -> R) -
     }
 }
 
-fn join_on<RA: Send, RB: Send>(
-    inner: &Arc<Inner>,
-    a: impl FnOnce() -> RA + Send,
-    b: impl FnOnce() -> RB + Send,
-) -> (RA, RB) {
-    let slot: Mutex<Option<RB>> = Mutex::new(None);
-    let ra = scope_on(inner, |s| {
-        s.spawn(|| {
-            *slot.lock() = Some(b());
-        });
-        a()
-    });
-    let rb = slot.into_inner().expect("scope ran the second branch");
-    (ra, rb)
-}
-
 fn par_map_on<T: Send, R: Send>(
     inner: &Arc<Inner>,
     items: Vec<T>,
@@ -694,11 +644,11 @@ fn par_map_on<T: Send, R: Send>(
         .collect()
 }
 
-/// A cooperative cancellation flag shared between a supervisor and the
-/// work it oversees. Cheap to clone (clones share the flag); checked at
-/// safe points — the token never preempts running code, it asks the
-/// next checkpoint to stop. Used by `flow::supervise::Supervisor` to
-/// abandon retry loops when a campaign is being torn down.
+/// A cooperative cancellation flag shared between a campaign's owner
+/// and the work it oversees. Cheap to clone (clones share the flag);
+/// checked at safe points — the token never preempts running code, it
+/// asks the next checkpoint to stop. The campaign daemon hands one to
+/// each chaos campaign, which checks it at every GWTW round barrier.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     cancelled: Arc<AtomicBool>,
@@ -815,12 +765,8 @@ mod tests {
         assert_eq!(pool.threads(), 1);
         assert!(pool.handles.is_empty());
         let caller = std::thread::current().id();
-        let (ra, rb) = pool.join(
-            || std::thread::current().id(),
-            || std::thread::current().id(),
-        );
-        assert_eq!(ra, caller);
-        assert_eq!(rb, caller);
+        let ran_on = pool.par_map(vec![(), ()], |_, ()| std::thread::current().id());
+        assert_eq!(ran_on, vec![caller, caller]);
     }
 
     #[test]
@@ -833,14 +779,6 @@ mod tests {
             }
         });
         assert!(slots.iter().enumerate().all(|(i, &v)| v == i as u64 + 1));
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let pool = PoolBuilder::new().threads(2).build();
-        let (a, b) = pool.join(|| 6 * 7, || "ok".to_owned());
-        assert_eq!(a, 42);
-        assert_eq!(b, "ok");
     }
 
     #[test]

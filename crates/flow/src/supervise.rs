@@ -26,9 +26,6 @@
 //!   with the model hours the kill saved so the caller can refund its
 //!   budget. Kills are terminal — a doomed trajectory is a property of
 //!   the option vector, not of tool luck, so retrying is waste.
-//! - **Cancellation** ([`CancelToken`]): a shared flag checked before
-//!   each attempt, letting a campaign teardown stop in-flight retry
-//!   loops at the next safe point.
 //!
 //! Everything the supervisor does is journaled (`run.retry`,
 //! `run.timeout`, `run.killed` events; `faults.retries`,
@@ -44,8 +41,6 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-
-use ideaflow_exec::CancelToken;
 
 use crate::options::SpnrOptions;
 use crate::record::StepRecord;
@@ -154,8 +149,6 @@ pub enum SupervisedError {
         /// refund this to their budget.
         hours_saved: f64,
     },
-    /// The cancel token was set before an attempt could start.
-    Cancelled,
 }
 
 impl std::fmt::Display for SupervisedError {
@@ -178,7 +171,6 @@ impl std::fmt::Display for SupervisedError {
                 f,
                 "killed as doomed after step {at_step} (saved {hours_saved:.1} h)"
             ),
-            SupervisedError::Cancelled => write!(f, "cancelled"),
         }
     }
 }
@@ -186,15 +178,14 @@ impl std::fmt::Display for SupervisedError {
 impl std::error::Error for SupervisedError {}
 
 /// Supervision wrapper around [`SpnrFlow::try_run`]: retries crashes
-/// with fresh samples, enforces a model-runtime deadline, consults an
-/// optional early-kill predictor, and honours a cancel token.
+/// with fresh samples, enforces a model-runtime deadline, and consults
+/// an optional early-kill predictor.
 #[derive(Clone)]
 pub struct Supervisor {
     retry: RetryPolicy,
     deadline_hours: Option<f64>,
     seed: u64,
     early_kill: Option<Arc<dyn EarlyKill>>,
-    cancel: Option<CancelToken>,
     /// Real sleeps are capped here so backoff never slows tests; the
     /// *logical* delay is journaled regardless.
     max_sleep_ms: u64,
@@ -207,7 +198,6 @@ impl std::fmt::Debug for Supervisor {
             .field("deadline_hours", &self.deadline_hours)
             .field("seed", &self.seed)
             .field("early_kill", &self.early_kill.is_some())
-            .field("cancel", &self.cancel.is_some())
             .finish()
     }
 }
@@ -231,7 +221,6 @@ impl Supervisor {
             deadline_hours: None,
             seed: 0,
             early_kill: None,
-            cancel: None,
             max_sleep_ms: 20,
         }
     }
@@ -256,13 +245,6 @@ impl Supervisor {
     #[must_use]
     pub fn with_early_kill(mut self, predictor: Arc<dyn EarlyKill>) -> Self {
         self.early_kill = Some(predictor);
-        self
-    }
-
-    /// Attaches a cancellation token checked before each attempt.
-    #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
         self
     }
 
@@ -299,9 +281,6 @@ impl Supervisor {
         let journal = flow.journal();
         let mut last = Failure::Crash;
         for attempt in 0..self.retry.max_attempts {
-            if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                return Err(SupervisedError::Cancelled);
-            }
             let s = Self::attempt_sample(sample, attempt);
             let failure = match flow.try_run(options, s) {
                 Err(e @ FlowError::InvalidParameter { .. }) => {
@@ -647,17 +626,6 @@ mod tests {
         let lines = journal.drain_lines().join("\n");
         let diags = ideaflow_trace::schema::lint_jsonl(&lines);
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn cancel_token_stops_before_the_first_attempt() {
-        let f = crashy(7, 1.0);
-        let o = SpnrOptions::with_target_ghz(0.4).unwrap();
-        let token = CancelToken::new();
-        token.cancel();
-        let sup = Supervisor::default().with_cancel(token);
-        assert_eq!(sup.run(&f, &o, 0), Err(SupervisedError::Cancelled));
-        assert_eq!(f.faults().unwrap().total(), 0, "no attempt may have run");
     }
 
     #[test]

@@ -445,11 +445,14 @@ fn evaluate(
 /// # Errors
 ///
 /// Returns a line-numbered message for malformed input, unknown keys,
-/// invalid kinds/operators, or duplicate rule names.
+/// a key repeated within one table, invalid kinds/operators, or
+/// duplicate rule names.
 pub fn parse_rules(text: &str) -> Result<Vec<AlertRule>, String> {
     #[derive(Default)]
-    struct Raw {
+    struct Raw<'a> {
         line: usize,
+        /// Keys set so far; a key may appear once per table.
+        keys: Vec<&'a str>,
         name: Option<String>,
         kind: Option<String>,
         metric: Option<String>,
@@ -487,20 +490,27 @@ pub fn parse_rules(text: &str) -> Result<Vec<AlertRule>, String> {
         let (key, value) = line
             .split_once('=')
             .ok_or_else(|| format!("line {lineno}: expected `key = value`"))?;
+        let key = key.trim();
+        if entry.keys.contains(&key) {
+            return Err(format!(
+                "line {lineno}: repeated key `{key}` in one [[alert]] table"
+            ));
+        }
+        entry.keys.push(key);
         let value = value.trim();
         let string = |v: &str| -> Result<String, String> {
             v.strip_prefix('"')
                 .and_then(|s| s.strip_suffix('"'))
                 .map(str::to_owned)
-                .ok_or_else(|| format!("line {lineno}: `{}` must be a quoted string", key.trim()))
+                .ok_or_else(|| format!("line {lineno}: `{key}` must be a quoted string"))
         };
         let number = |v: &str| -> Result<f64, String> {
             v.parse::<f64>()
                 .ok()
                 .filter(|x| x.is_finite())
-                .ok_or_else(|| format!("line {lineno}: `{}` must be a finite number", key.trim()))
+                .ok_or_else(|| format!("line {lineno}: `{key}` must be a finite number"))
         };
-        match key.trim() {
+        match key {
             "name" => entry.name = Some(string(value)?),
             "kind" => entry.kind = Some(string(value)?),
             "metric" => entry.metric = Some(string(value)?),
@@ -856,6 +866,10 @@ threshold = 100
             (
                 "[[alert]]\nname = \"x\"\nkind = \"stall\"\nrounds = NaN\n",
                 "line 4: `rounds` must be a finite number",
+            ),
+            (
+                "[[alert]]\nname = \"x\"\nkind = \"gauge\"\nmetric = \"g\"\nop = \">\"\nthreshold = 5\nthreshold = 500\n",
+                "line 7: repeated key `threshold` in one [[alert]] table",
             ),
         ] {
             let err = parse_rules(text).unwrap_err();

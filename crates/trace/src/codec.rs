@@ -35,8 +35,8 @@
 //! formats compare equal. JSONL is lossy for floats (whole floats
 //! re-parse as ints, non-finite floats render as `null`), so the binary
 //! encoder applies the *same* normalization at encode time — see
-//! [`norm`]. Anything the JSONL round trip preserves, the binary round
-//! trip preserves bit-for-bit.
+//! `norm_float`. Anything the JSONL round trip preserves, the binary
+//! round trip preserves bit-for-bit.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;

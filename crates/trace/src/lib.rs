@@ -43,7 +43,7 @@ use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
@@ -52,7 +52,6 @@ use serde::{DeError, Deserialize, Serialize, Value};
 pub mod analyze;
 pub mod codec;
 pub mod grafana;
-pub mod hb;
 pub mod reader;
 pub mod schema;
 pub mod span;
@@ -192,11 +191,6 @@ struct Inner {
     /// Fast-path guard: mirror into telemetry only when attached.
     telemetry_on: AtomicBool,
     telemetry: RwLock<Option<TelemetryRegistry>>,
-    /// Span ids whose guard dropped on a thread other than its opener;
-    /// the opener's TLS stack entry is stale until pruned (see
-    /// `span.rs`). Count mirrors the list length for a lock-free check.
-    remote_closes: Mutex<Vec<u64>>,
-    remote_close_count: AtomicUsize,
 }
 
 /// Once a thread's buffer holds this many unflushed lines, emit flushes
@@ -230,11 +224,7 @@ impl Inner {
                 return buf;
             }
             let buf = Arc::new(ThreadBuf::default());
-            {
-                let mut registry = self.buffers.lock();
-                hb::guarded_access(hb::LockKind::BufferRegistry, self.id as usize, 0);
-                registry.push(buf.clone());
-            }
+            self.buffers.lock().push(buf.clone());
             bufs.push((self.id, Arc::downgrade(&buf)));
             buf
         })
@@ -248,12 +238,7 @@ impl Inner {
             return;
         }
         let mut sink = self.sink.lock();
-        hb::guarded_access(hb::LockKind::SinkLock, self.id as usize, 0);
-        let bufs: Vec<Arc<ThreadBuf>> = {
-            let registry = self.buffers.lock();
-            hb::guarded_access(hb::LockKind::BufferRegistry, self.id as usize, 0);
-            registry.clone()
-        };
+        let bufs: Vec<Arc<ThreadBuf>> = self.buffers.lock().clone();
         for buf in &bufs {
             let mut st = buf.state.lock();
             if sink.staged.is_empty() {
@@ -448,8 +433,6 @@ impl Journal {
                 summarized: Mutex::new(false),
                 telemetry_on: AtomicBool::new(false),
                 telemetry: RwLock::new(None),
-                remote_closes: Mutex::new(Vec::new()),
-                remote_close_count: AtomicUsize::new(0),
             })),
         }
     }

@@ -419,11 +419,6 @@ pub const EVENTS: &[EventSchema] = &[
             f("depth", Int),
             f("secs", Num),
             f("thread", Str),
-            // Present only when the guard dropped on a different thread
-            // than the one that opened it (e.g. a span handed into a
-            // pool task); `thread` is then the executing/closing worker
-            // and `opened_thread` the opener.
-            opt("opened_thread", Str),
         ],
         extra_fields: false,
         doc: "RAII span closed with elapsed wall time",

@@ -21,22 +21,12 @@
 //! [`SpanStack::enter`]. Every `span.open`/`span.close` event carries a
 //! `thread` field naming the thread it happened on, so per-worker
 //! attribution survives into offline analysis (`ifjournal summary
-//! --by-thread` charges a span's self-time to the thread that *closed*
-//! it — the one that did the work).
+//! --by-thread` charges a span's self-time to that thread).
 //!
-//! # Cross-thread closes
-//!
-//! A guard may legitimately drop on a different thread than opened it
-//! (a task result carrying its span back through a channel, an executor
-//! tearing down). The close event is then emitted from the dropping
-//! thread — its `thread` field names the executing worker, and an
-//! `opened_thread` field is added naming the opener. The opener's
-//! thread-local stack still holds the span's entry at that point (only
-//! the opener can touch its own TLS); the journal records the id as
-//! remotely closed and every subsequent [`crate::Journal::span`] call
-//! prunes remotely-closed entries from its own thread's stack before
-//! computing parentage, so a cross-thread close can never corrupt the
-//! parent/depth of spans the opener opens later.
+//! A [`Span`] is not `Send`: it opens, runs and closes on one thread,
+//! so its drop always pops its own entry from that thread's stack, and
+//! the close carries the same `thread` label as the open. Work that
+//! moves to another thread opens its own span there.
 //!
 //! Close events also feed the `span.<name>.secs` histogram, which flows
 //! into any attached [`crate::TelemetryRegistry`] live.
@@ -45,11 +35,11 @@
 //! flamegraph-compatible stacks ([`crate::analyze::SpanCollector::flame_folded`]).
 
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
-use std::thread::ThreadId;
 use std::time::Instant;
 
-use crate::{Journal, PayloadValue};
+use crate::Journal;
 
 thread_local! {
     /// Stack of `(journal id, span id)` for the spans currently open on
@@ -130,6 +120,15 @@ impl SpanStack {
 
 /// An open span; closing (dropping) it emits the `span.close` event.
 /// Spans from a disabled journal are inert.
+///
+/// A span closes on the thread that opened it, so it cannot be moved
+/// to another thread:
+///
+/// ```compile_fail
+/// let journal = ideaflow_trace::Journal::in_memory("run");
+/// let span = journal.span("stage");
+/// std::thread::spawn(move || drop(span));
+/// ```
 #[derive(Debug)]
 pub struct Span {
     journal: Journal,
@@ -138,8 +137,9 @@ pub struct Span {
     parent: i64,
     depth: u64,
     start: Instant,
-    opened_on: ThreadId,
-    opened_label: String,
+    thread: String,
+    /// Makes the guard `!Send`: its drop pops this thread's stack.
+    _not_send: PhantomData<*const ()>,
 }
 
 impl Journal {
@@ -156,34 +156,11 @@ impl Journal {
                 parent: -1,
                 depth: 0,
                 start: Instant::now(),
-                opened_on: std::thread::current().id(),
-                opened_label: String::new(),
+                thread: String::new(),
+                _not_send: PhantomData,
             };
         };
         let key = inner.id;
-        // Spans this thread opened but another thread closed leave
-        // stale entries here (a foreign thread cannot edit our TLS);
-        // drop them before they masquerade as parents.
-        if inner.remote_close_count.load(Ordering::Relaxed) > 0 {
-            let mut remote = inner.remote_closes.lock();
-            if !remote.is_empty() {
-                OPEN_SPANS.with(|stack| {
-                    stack.borrow_mut().retain(|&(k, sid)| {
-                        if k != key {
-                            return true;
-                        }
-                        match remote.iter().position(|&r| r == sid) {
-                            Some(pos) => {
-                                remote.swap_remove(pos);
-                                inner.remote_close_count.fetch_sub(1, Ordering::Relaxed);
-                                false
-                            }
-                            None => true,
-                        }
-                    });
-                });
-            }
-        }
         let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
         let (parent, depth) = OPEN_SPANS.with(|stack| {
             let mut stack = stack.borrow_mut();
@@ -203,8 +180,8 @@ impl Journal {
             parent,
             depth,
             start: Instant::now(),
-            opened_on: std::thread::current().id(),
-            opened_label: thread_label(),
+            thread: thread_label(),
+            _not_send: PhantomData,
         };
         self.emit(
             "span.open",
@@ -213,7 +190,7 @@ impl Journal {
                 ("id", id.into()),
                 ("parent", parent.into()),
                 ("depth", depth.into()),
-                ("thread", span.opened_label.as_str().into()),
+                ("thread", span.thread.as_str().into()),
             ],
         );
         span
@@ -246,36 +223,24 @@ impl Drop for Span {
             return;
         };
         let key = inner.id;
-        let closing_here = std::thread::current().id() == self.opened_on;
-        if closing_here {
-            OPEN_SPANS.with(|stack| {
-                let mut stack = stack.borrow_mut();
-                if let Some(pos) = stack.iter().rposition(|&e| e == (key, self.id)) {
-                    stack.remove(pos);
-                }
-            });
-        } else {
-            // The opener's stack entry is out of reach from this
-            // thread; flag it for pruning on the opener's next `span`.
-            inner.remote_closes.lock().push(self.id);
-            inner.remote_close_count.fetch_add(1, Ordering::Relaxed);
-        }
+        OPEN_SPANS.with(|stack| {
+            let mut stack = stack.borrow_mut();
+            if let Some(pos) = stack.iter().rposition(|&e| e == (key, self.id)) {
+                stack.remove(pos);
+            }
+        });
         let secs = self.start.elapsed().as_secs_f64();
-        let closer = thread_label();
-        let mut fields: Vec<(&str, PayloadValue)> = vec![
-            ("name", self.name.as_str().into()),
-            ("id", self.id.into()),
-            ("parent", self.parent.into()),
-            ("depth", self.depth.into()),
-            ("secs", secs.into()),
-            // The thread doing the close is the one that executed the
-            // work — `summary --by-thread` attributes self-time to it.
-            ("thread", closer.as_str().into()),
-        ];
-        if !closing_here {
-            fields.push(("opened_thread", self.opened_label.as_str().into()));
-        }
-        self.journal.emit("span.close", &fields);
+        self.journal.emit(
+            "span.close",
+            &[
+                ("name", self.name.as_str().into()),
+                ("id", self.id.into()),
+                ("parent", self.parent.into()),
+                ("depth", self.depth.into()),
+                ("secs", secs.into()),
+                ("thread", self.thread.as_str().into()),
+            ],
+        );
         self.journal
             .observe(&format!("span.{}.secs", self.name), secs);
     }
@@ -348,11 +313,6 @@ mod tests {
                 e.payload.get("thread").and_then(|v| v.as_str()),
                 Some(expected.as_str()),
                 "{step}"
-            );
-            assert_eq!(
-                e.payload.get("opened_thread"),
-                None,
-                "same-thread close carries no opened_thread"
             );
         }
     }
@@ -427,43 +387,5 @@ mod tests {
             .and_then(|h| h.get("span.stage.secs"))
             .expect("span histogram present");
         assert_eq!(hist.get("count"), Some(&serde::Value::Int(2)));
-    }
-
-    #[test]
-    fn cross_thread_close_attributes_to_the_executing_thread() {
-        let j = Journal::in_memory("xclose");
-        let span = j.span("work");
-        let opener = thread_label();
-        std::thread::scope(|s| {
-            s.spawn(move || drop(span));
-        });
-        let r = load(&j);
-        let close = &r.events_for_step("span.close")[0];
-        // Self-time lands on the worker that finished the work, with
-        // the opener recorded for transparency.
-        assert_eq!(
-            close.payload.get("thread").and_then(|v| v.as_str()),
-            Some("unnamed")
-        );
-        assert_eq!(
-            close.payload.get("opened_thread").and_then(|v| v.as_str()),
-            Some(opener.as_str())
-        );
-    }
-
-    #[test]
-    fn cross_thread_close_does_not_corrupt_the_openers_stack() {
-        let j = Journal::in_memory("stale");
-        let moved = j.span("moved");
-        let moved_id = moved.id();
-        std::thread::scope(|s| {
-            s.spawn(move || drop(moved));
-        });
-        // `moved` is closed; a new span here must root, not nest under
-        // the stale stack entry the remote close left behind.
-        let next = j.span("next");
-        assert_eq!(next.parent(), -1, "stale entry pruned");
-        assert_eq!(next.depth(), 0);
-        assert_ne!(next.id(), moved_id);
     }
 }
