@@ -1,6 +1,5 @@
-//! `bench_journal`: measures the journal substrate itself — JSONL vs
-//! the length-prefixed binary codec — and writes the evidence to
-//! `BENCH_journal.json`.
+//! `bench_journal`: measures the journal codec itself and writes the
+//! evidence to `BENCH_journal.json`.
 //!
 //! ```text
 //! bench_journal [--quick] [--out BENCH_journal.json]
@@ -10,23 +9,21 @@
 //! real `Journal` hot path (seq tickets, per-thread buffers,
 //! contiguous-prefix flush):
 //!
-//! - **write**: records/s and bytes/record for each format;
-//! - **read**: `tail -n 10` latency — JSONL pays a full streaming scan,
-//!   binary seeks via its embedded block index — plus full-scan decode
-//!   throughput for both formats;
-//! - **memory**: RSS before/after the full streaming scan of the
-//!   largest corpus (the streaming readers must stay flat) and the
-//!   process high-water mark.
+//! - **write**: records/s and bytes/record;
+//! - **read**: `tail -n 10` latency through the embedded block index
+//!   against the full-scan tail `tail_events` falls back to without
+//!   one, plus full-scan decode throughput;
+//! - **memory**: RSS before/after the full streaming scan of the corpus
+//!   (the streaming reader must stay flat) and the process high-water
+//!   mark.
 //!
-//! The default corpus is ≥1M records; `--quick` drops to 100k for the
-//! CI gate. Exit is nonzero when binary write throughput falls below
-//! 2× JSONL (both modes), or — full mode only — when any of the
-//! headline ratios (≥3× write, ≥2× smaller records, ≥10× faster tail)
-//! regresses.
+//! The default corpus is 1M records; `--quick` drops to 100k for the CI
+//! gate. Exit is nonzero, in either mode, when the two tails disagree or
+//! the indexed tail is less than 10× faster than the full scan.
 
 use std::time::Instant;
 
-use ideaflow_trace::{codec, Journal, JournalFormat};
+use ideaflow_trace::{codec, Journal, RunEvent};
 
 const QUICK_RECORDS: u64 = 100_000;
 const FULL_RECORDS: u64 = 1_000_000;
@@ -45,9 +42,9 @@ fn main() {
         }
     }
 
-    // The comparison is codec cost (serialization + framing), not disk
-    // bandwidth: prefer tmpfs so multi-hundred-MB corpora don't turn
-    // the writer measurement into a kernel-writeback benchmark.
+    // The measurement is codec cost (encoding + framing), not disk
+    // bandwidth: prefer tmpfs so a multi-MB corpus doesn't turn the
+    // writer measurement into a kernel-writeback benchmark.
     let scratch = std::path::Path::new("/dev/shm");
     let base = if scratch.is_dir() {
         scratch.to_path_buf()
@@ -56,8 +53,7 @@ fn main() {
     };
     let dir = base.join(format!("ideaflow_bench_journal_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let jsonl_path = dir.join("corpus.jsonl");
-    let binary_path = dir.join("corpus.ifj");
+    let path = dir.join("corpus.ifj");
 
     // Best-of-N write runs: the corpus content is deterministic, so
     // re-writing the same file and keeping the fastest run filters out
@@ -65,57 +61,39 @@ fn main() {
     // are rarely quiet), which otherwise dominates second-scale
     // measurements.
     let write_runs = if quick { 2 } else { 3 };
-    eprintln!(
-        "bench_journal: writing {records} flow.sample records per format \
-         (best of {write_runs}) ..."
-    );
-    let jsonl = best_write(&jsonl_path, JournalFormat::Jsonl, records, write_runs);
-    drain_writeback();
-    let binary = best_write(&binary_path, JournalFormat::Binary, records, write_runs);
-    drain_writeback();
+    eprintln!("bench_journal: writing {records} flow.sample records (best of {write_runs}) ...");
+    let write = best_write(&path, records, write_runs);
 
-    // Streaming reads. RSS is sampled around the *binary* full scan of
-    // the whole corpus: a flat delta is the O(block) evidence, because
-    // a slurping reader would hold `records` decoded events at once.
+    // Streaming read. RSS is sampled around the full scan of the whole
+    // corpus: a flat delta is the O(block) evidence, because a slurping
+    // reader would hold `records` decoded events at once.
     let rss_before_kb = rss_kb("VmRSS");
-    let scan_binary = time_scan(&binary_path);
+    let scan = time_scan(&path);
     let rss_after_kb = rss_kb("VmRSS");
-    let scan_jsonl = time_scan(&jsonl_path);
 
     // Tail latency: identical query, two strategies, best of 3. The
-    // JSONL side must scan every byte; the binary side resumes from
+    // full scan decodes every record; the indexed tail resumes from
     // the last block-index frame.
-    let (tail_jsonl, jsonl_tail_s) = best_tail(&jsonl_path);
-    let (tail_binary, binary_tail_s) = best_tail(&binary_path);
-    assert_eq!(
-        tail_jsonl, tail_binary,
-        "both formats must agree on the tail"
-    );
+    let (tail_full, full_tail_s) = best_tail(|| codec::full_scan_tail(&path, None, 10));
+    let (tail_indexed, indexed_tail_s) = best_tail(|| codec::tail_events(&path, None, 10));
+    assert_eq!(tail_full, tail_indexed, "both tails must agree");
 
-    let write_ratio = binary.records_per_s / jsonl.records_per_s;
-    let bytes_ratio = jsonl.bytes_per_record / binary.bytes_per_record;
-    let tail_speedup = jsonl_tail_s / binary_tail_s;
+    let tail_speedup = full_tail_s / indexed_tail_s;
     let vm_hwm_kb = rss_kb("VmHWM");
 
     let report = format!(
-        "{{\n  \"mode\": \"{mode}\",\n  \"records\": {records},\n  \"write\": {{\n    \
-         \"jsonl\": {jsonl},\n    \"binary\": {binary},\n    \
-         \"binary_over_jsonl_throughput\": {write_ratio:.3},\n    \
-         \"jsonl_over_binary_bytes_per_record\": {bytes_ratio:.3}\n  }},\n  \"read\": {{\n    \
-         \"jsonl_full_scan_tail_s\": {jsonl_tail_s:.6},\n    \
-         \"binary_indexed_tail_s\": {binary_tail_s:.6},\n    \
+        "{{\n  \"mode\": \"{mode}\",\n  \"records\": {records},\n  \"write\": {write},\n  \
+         \"read\": {{\n    \
+         \"full_scan_tail_s\": {full_tail_s:.6},\n    \
+         \"indexed_tail_s\": {indexed_tail_s:.6},\n    \
          \"indexed_tail_speedup\": {tail_speedup:.1},\n    \
-         \"jsonl_scan_records_per_s\": {sj:.0},\n    \
-         \"binary_scan_records_per_s\": {sb:.0}\n  }},\n  \"memory\": {{\n    \
+         \"scan_records_per_s\": {scan:.0}\n  }},\n  \"memory\": {{\n    \
          \"rss_before_full_scan_kb\": {rss_before_kb},\n    \
          \"rss_after_full_scan_kb\": {rss_after_kb},\n    \
          \"rss_delta_kb\": {rss_delta},\n    \
          \"vm_hwm_kb\": {vm_hwm_kb}\n  }}\n}}\n",
         mode = if quick { "quick" } else { "full" },
-        jsonl = jsonl.json(),
-        binary = binary.json(),
-        sj = scan_jsonl,
-        sb = scan_binary,
+        write = write.json(),
         rss_delta = rss_after_kb.saturating_sub(rss_before_kb),
     );
     std::fs::write(&out_path, &report).expect("write report");
@@ -124,26 +102,8 @@ fn main() {
 
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut failed = false;
-    if write_ratio < 2.0 {
-        eprintln!("bench_journal: FAIL binary write throughput {write_ratio:.2}x < 2x JSONL");
-        failed = true;
-    }
-    if !quick {
-        if write_ratio < 3.0 {
-            eprintln!("bench_journal: FAIL binary write throughput {write_ratio:.2}x < 3x JSONL");
-            failed = true;
-        }
-        if bytes_ratio < 2.0 {
-            eprintln!("bench_journal: FAIL binary records only {bytes_ratio:.2}x smaller (< 2x)");
-            failed = true;
-        }
-        if tail_speedup < 10.0 {
-            eprintln!("bench_journal: FAIL indexed tail only {tail_speedup:.1}x faster (< 10x)");
-            failed = true;
-        }
-    }
-    if failed {
+    if tail_speedup < 10.0 {
+        eprintln!("bench_journal: FAIL indexed tail only {tail_speedup:.1}x faster (< 10x)");
         std::process::exit(1);
     }
 }
@@ -167,10 +127,10 @@ impl WriteRun {
 
 /// Fastest of `runs` corpus writes (the file content is identical each
 /// time, so only the timing differs).
-fn best_write(path: &std::path::Path, format: JournalFormat, records: u64, runs: u32) -> WriteRun {
+fn best_write(path: &std::path::Path, records: u64, runs: u32) -> WriteRun {
     let mut best: Option<WriteRun> = None;
     for _ in 0..runs {
-        let run = write_corpus(path, format, records);
+        let run = write_corpus(path, records);
         if best.as_ref().is_none_or(|b| run.secs < b.secs) {
             best = Some(run);
         }
@@ -178,12 +138,12 @@ fn best_write(path: &std::path::Path, format: JournalFormat, records: u64, runs:
     best.expect("at least one write run")
 }
 
-/// Fastest of 3 `tail -n 10` queries against `path`.
-fn best_tail(path: &std::path::Path) -> (Vec<ideaflow_trace::RunEvent>, f64) {
-    let mut best: Option<(Vec<ideaflow_trace::RunEvent>, f64)> = None;
+/// Fastest of 3 runs of one `tail -n 10` strategy.
+fn best_tail(tail: impl Fn() -> std::io::Result<Vec<RunEvent>>) -> (Vec<RunEvent>, f64) {
+    let mut best: Option<(Vec<RunEvent>, f64)> = None;
     for _ in 0..3 {
         let t = Instant::now();
-        let events = codec::tail_events(path, None, 10).expect("tail");
+        let events = tail().expect("tail");
         let secs = t.elapsed().as_secs_f64();
         if best.as_ref().is_none_or(|(_, b)| secs < *b) {
             best = Some((events, secs));
@@ -194,10 +154,10 @@ fn best_tail(path: &std::path::Path) -> (Vec<ideaflow_trace::RunEvent>, f64) {
 
 /// Writes `records` schema-conforming `flow.sample` events through the
 /// public `Journal` API (the real emit hot path) and times it.
-fn write_corpus(path: &std::path::Path, format: JournalFormat, records: u64) -> WriteRun {
+fn write_corpus(path: &std::path::Path, records: u64) -> WriteRun {
     let t = Instant::now();
-    let j = Journal::to_file_with_format("bench-journal", path, format).expect("open journal");
-    // Deterministic xorshift so both formats encode the same payloads.
+    let j = Journal::to_file("bench-journal", path).expect("open journal");
+    // Deterministic xorshift, so every write run encodes the same payloads.
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut next = move || {
         state ^= state << 13;
@@ -229,15 +189,6 @@ fn write_corpus(path: &std::path::Path, format: JournalFormat, records: u64) -> 
         records_per_s: records as f64 / secs,
         bytes_per_record: bytes as f64 / records as f64,
     }
-}
-
-/// Flushes dirty pages from the previous phase so each measurement
-/// runs against a quiet disk instead of the prior corpus's writeback
-/// (a 245MB JSONL corpus draining in the background throttles the
-/// writer measured after it). Best-effort: a missing `sync` binary
-/// just means noisier numbers.
-fn drain_writeback() {
-    let _ = std::process::Command::new("sync").status();
 }
 
 /// Full streaming decode of the corpus; returns records/s.

@@ -4,9 +4,9 @@
 //! GWTW campaign over the real flow-option tree (the chaos workload):
 //!
 //! ```text
-//! fig06a_gwtw --chaos [--journal camp.jsonl]      full campaign
+//! fig06a_gwtw --chaos [--journal camp.ifj]        full campaign
 //! fig06a_gwtw --chaos --kill-after-round 2 ...    truncated (killed) campaign
-//! fig06a_gwtw --chaos --resume killed.jsonl ...   warm the QoR cache from a
+//! fig06a_gwtw --chaos --resume killed.ifj ...     warm the QoR cache from a
 //!                                                 killed campaign's journal,
 //!                                                 then run to completion
 //! fig06a_gwtw --chaos --alerts rules.toml ...     evaluate alert rules at
@@ -77,8 +77,8 @@ fn run_chaos(
     let cache = QorCache::new();
     let mut warmed = 0usize;
     if let Some(path) = flag_value(args, "--resume") {
-        // Stream the killed campaign's journal (either format) instead
-        // of loading it whole: resume works on corpora larger than RAM.
+        // Stream the killed campaign's journal instead of loading it
+        // whole: resume works on corpora larger than RAM.
         let stream = ideaflow_trace::EventStream::open(&path)
             .unwrap_or_else(|e| panic!("cannot load resume journal {path}: {e}"));
         for event in stream {

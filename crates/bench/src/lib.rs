@@ -19,22 +19,18 @@ use std::time::Duration;
 
 use ideaflow_metrics::alerts::AlertEngine;
 use ideaflow_metrics::http::TelemetryServer;
-use ideaflow_trace::{Journal, JournalFormat, TelemetryRegistry};
+use ideaflow_trace::{Journal, TelemetryRegistry};
 
 /// Parses the common `--journal <path>` (or `--journal=<path>`) flag every
-/// `fig*`/`tab*` binary accepts and opens a file-backed run journal there;
-/// without the flag, returns the no-op journal. The companion
-/// `--journal-format <jsonl|binary>` flag selects the on-disk encoding
-/// (default `jsonl`; `binary` writes the length-prefixed indexed codec —
-/// readers sniff the format, so every downstream tool accepts either).
-/// Call [`Journal::finish`] before the binary exits so the summary
-/// event and counters land in the file.
+/// `fig*`/`tab*` binary accepts and opens a file-backed run journal there
+/// (the binary codec; `ifjournal convert` renders it as JSONL); without
+/// the flag, returns the no-op journal. Call [`Journal::finish`] before
+/// the binary exits so the summary event and counters land in the file.
 ///
 /// # Panics
 ///
 /// Panics (with the offending path) if the journal file cannot be created,
-/// if `--journal` is the last argument with no path following it, or if
-/// `--journal-format` names an unknown format.
+/// or if `--journal` is the last argument with no path following it.
 #[must_use]
 pub fn journal_from_args(run_id: &str) -> Journal {
     journal_from_arg_list(run_id, std::env::args().skip(1))
@@ -47,26 +43,16 @@ pub fn journal_from_args(run_id: &str) -> Journal {
 /// Same contract as [`journal_from_args`].
 pub fn journal_from_arg_list(run_id: &str, args: impl IntoIterator<Item = String>) -> Journal {
     let mut path: Option<String> = None;
-    let mut format = JournalFormat::Jsonl;
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         if a == "--journal" {
             path = Some(args.next().expect("--journal requires a <path> argument"));
         } else if let Some(p) = a.strip_prefix("--journal=") {
             path = Some(p.to_owned());
-        } else if a == "--journal-format" || a.starts_with("--journal-format=") {
-            let v = match a.strip_prefix("--journal-format=") {
-                Some(v) => v.to_owned(),
-                None => args
-                    .next()
-                    .expect("--journal-format requires a <jsonl|binary> argument"),
-            };
-            format = JournalFormat::parse(&v)
-                .unwrap_or_else(|| panic!("--journal-format: unknown format {v:?}"));
         }
     }
     match path {
-        Some(path) => Journal::to_file_with_format(run_id, &path, format)
+        Some(path) => Journal::to_file(run_id, &path)
             .unwrap_or_else(|e| panic!("cannot open journal file {path}: {e}")),
         None => Journal::disabled(),
     }
@@ -113,7 +99,7 @@ impl BenchSession {
 
 /// Parses the observability flags every `fig*`/`tab*` binary accepts:
 ///
-/// - `--journal <path>`: file-backed JSONL journal (as
+/// - `--journal <path>`: file-backed run journal (as
 ///   [`journal_from_args`]);
 /// - `--telemetry-port <port>`: serve live Prometheus metrics on
 ///   `127.0.0.1:<port>` (`0` picks a free port; the chosen endpoint is
@@ -309,7 +295,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join("ideaflow_bench_flag_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let p1 = dir.join("a.jsonl");
+        let p1 = dir.join("a.ifj");
         let j1 = journal_from_arg_list(
             "t",
             vec!["--journal".to_owned(), p1.to_string_lossy().into_owned()],
@@ -319,7 +305,7 @@ mod tests {
         j1.finish();
         assert!(Journal::load(&p1).unwrap().len() >= 2);
 
-        let p2 = dir.join("b.jsonl");
+        let p2 = dir.join("b.ifj");
         let j2 = journal_from_arg_list("t", vec![format!("--journal={}", p2.display())]);
         assert!(j2.is_enabled());
         j2.finish();
@@ -331,35 +317,6 @@ mod tests {
     #[should_panic(expected = "--journal requires a <path> argument")]
     fn journal_flag_requires_a_path() {
         let _ = journal_from_arg_list("t", vec!["--journal".to_owned()]);
-    }
-
-    #[test]
-    fn journal_format_flag_selects_the_binary_codec() {
-        let dir = std::env::temp_dir().join("ideaflow_bench_format_flag_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("c.ifj");
-        let j = journal_from_arg_list(
-            "t",
-            vec![
-                format!("--journal={}", p.display()),
-                "--journal-format=binary".to_owned(),
-            ],
-        );
-        assert_eq!(j.format(), Some(JournalFormat::Binary));
-        j.emit("x", &[("v", 1.0.into())]);
-        j.finish();
-        // The streaming loader sniffs the format back.
-        assert!(Journal::load(&p).unwrap().len() >= 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    #[should_panic(expected = "--journal-format: unknown format")]
-    fn journal_format_flag_rejects_unknown_formats() {
-        let _ = journal_from_arg_list(
-            "t",
-            vec!["--journal-format".to_owned(), "msgpack".to_owned()],
-        );
     }
 
     #[test]
@@ -397,7 +354,7 @@ mod tests {
     fn session_combines_journal_and_telemetry() {
         let dir = std::env::temp_dir().join("ideaflow_bench_session_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("combined.jsonl");
+        let p = dir.join("combined.ifj");
         let s = session_from_arg_list(
             "t",
             vec![

@@ -39,8 +39,7 @@ fn run(dir: &Path, bin: &str, args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("utf-8 stdout")
 }
 
-/// Loads a journal of either format; every event must pass the schema
-/// registry's lint.
+/// Loads a journal; every event must pass the schema registry's lint.
 fn load_linted(path: &Path) -> JournalReader {
     let journal = Journal::load(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     for event in &journal.events {
@@ -85,8 +84,8 @@ impl Drop for KillOnDrop {
 #[test]
 fn journal_flag_records_every_bandit_pull() {
     let dir = scratch_dir();
-    run(&dir, FIG07_MAB, &["--journal", "mab.jsonl"]);
-    let journal = load_linted(&dir.join("mab.jsonl"));
+    run(&dir, FIG07_MAB, &["--journal", "mab.ifj"]);
+    let journal = load_linted(&dir.join("mab.ifj"));
     assert_eq!(
         journal.events_for_step("bandit.pull").len(),
         200,
@@ -138,8 +137,8 @@ fn held_telemetry_endpoint_serves_health_and_pool_gauges() {
 #[test]
 fn killed_binary_journal_resumes_to_the_uninterrupted_best() {
     let dir = scratch_dir();
-    let full_out = run(&dir, FIG06A_GWTW, &["--chaos", "--journal", "full.jsonl"]);
-    let kill = "--chaos --kill-after-round 2 --journal killed.ifj --journal-format binary";
+    let full_out = run(&dir, FIG06A_GWTW, &["--chaos", "--journal", "full.ifj"]);
+    let kill = "--chaos --kill-after-round 2 --journal killed.ifj";
     run(&dir, FIG06A_GWTW, &kill.split(' ').collect::<Vec<_>>());
     let resumed_out = run(&dir, FIG06A_GWTW, &["--chaos", "--resume", "killed.ifj"]);
     let resumed = line_starting(&resumed_out, "resumed: ");
@@ -153,7 +152,7 @@ fn killed_binary_journal_resumes_to_the_uninterrupted_best() {
 
     // The uninterrupted run's failure ledger accounts for its faults.
     let mut ledger = FailureLedger::new();
-    for event in &load_linted(&dir.join("full.jsonl")).events {
+    for event in &load_linted(&dir.join("full.ifj")).events {
         ledger.ingest(event);
     }
     let text = ledger.render();
@@ -166,11 +165,11 @@ fn killed_binary_journal_resumes_to_the_uninterrupted_best() {
 fn ci_alert_rules_fire_the_model_hour_budget() {
     let dir = scratch_dir();
     let rules = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/alerts.toml");
-    let args = ["--chaos", "--alerts", rules, "--journal", "alerts.jsonl"];
+    let args = ["--chaos", "--alerts", rules, "--journal", "alerts.ifj"];
     let out = run(&dir, FIG06A_GWTW, &args);
     let firing = line_starting(&out, "alerts firing:");
     assert!(firing.contains("model-hour-budget"), "{firing}");
-    let journal = load_linted(&dir.join("alerts.jsonl"));
+    let journal = load_linted(&dir.join("alerts.ifj"));
     assert_eq!(journal.events_for_step("alert.fired").len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

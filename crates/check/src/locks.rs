@@ -17,8 +17,7 @@
 //!   reported at both witness sites;
 //! - [`BLOCKING_WHILE_LOCKED`]: a guard live across `Condvar::wait*`
 //!   (other than the guard being waited on), `thread::sleep`, file or
-//!   socket IO, a `par_map`/`scope`/`join` fan-out, or an HTTP handler
-//!   call;
+//!   socket IO, a `par_map`/`scope` fan-out, or an HTTP handler call;
 //! - [`ATOMIC_HANDSHAKE`]: a `SeqCst` store (or RMW) of an atomic whose
 //!   paired load — same `(crate, name)` — is missing or never `SeqCst`.
 //!   This is pointed straight at Dekker-style protocols like the
@@ -165,7 +164,6 @@ const BLOCKING_FNS: &[(&str, &str)] = &[
     ("current_par_map", "executor fan-out"),
     ("par_map_on", "executor fan-out"),
     ("scope_on", "executor fan-out"),
-    ("join_on", "executor fan-out"),
 ];
 
 /// Recovers the lock identifier for the acquisition whose `.` sits at
@@ -326,23 +324,7 @@ pub fn extract(path: &str, tokens: &[Token]) -> FileLocks {
                     } else if let Some((_, what)) =
                         BLOCKING_METHODS.iter().find(|(m, _)| *m == method)
                     {
-                        let pool_join = false;
-                        on_blocking(path, method, what, pool_join, &guards, line, &mut out.diags);
-                    } else if method == "join" {
-                        // `.join(` is wildly overloaded (threads, paths,
-                        // slices); only a pool-ish receiver counts.
-                        let recv = receiver_name(tokens, i);
-                        if recv.as_deref().is_some_and(|r| r.contains("pool")) {
-                            on_blocking(
-                                path,
-                                method,
-                                "executor fan-out",
-                                true,
-                                &guards,
-                                line,
-                                &mut out.diags,
-                            );
-                        }
+                        on_blocking(path, method, what, &guards, line, &mut out.diags);
                     } else if is_atomic_method(method) {
                         record_atomic(tokens, i, method, &mut out.atomics);
                     }
@@ -359,14 +341,13 @@ pub fn extract(path: &str, tokens: &[Token]) -> FileLocks {
                         path,
                         "thread::sleep",
                         "sleep",
-                        false,
                         &guards,
                         line,
                         &mut out.diags,
                     );
                 } else if let Some((f, what)) = BLOCKING_FNS.iter().find(|(f, _)| f == name) {
                     if punct_at(tokens, i + 1, '(') {
-                        on_blocking(path, f, what, false, &guards, line, &mut out.diags);
+                        on_blocking(path, f, what, &guards, line, &mut out.diags);
                     }
                 }
                 i += 1;
@@ -478,7 +459,6 @@ fn on_blocking(
     path: &str,
     call: &str,
     what: &str,
-    _pool_join: bool,
     guards: &[Guard],
     line: u32,
     out: &mut Vec<Diagnostic>,

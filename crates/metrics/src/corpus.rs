@@ -2,10 +2,10 @@
 //!
 //! Instrumented flow runs journal every [`StepRecord`] as one
 //! `flow.step.<step>` event (see `SpnrFlow::run_logged`), so any run
-//! journal — in memory, a JSONL file, or a binary file from a daemon
-//! campaign — is METRICS collection data. [`from_events`] turns those
-//! events back into records, and [`run_matrix`] aligns them per run for
-//! the miner.
+//! journal — in memory, a harness `--journal` file, or a daemon
+//! campaign's attempt journal — is METRICS collection data.
+//! [`from_events`] turns those events back into records, and
+//! [`run_matrix`] aligns them per run for the miner.
 
 use crate::MetricsError;
 use ideaflow_flow::record::{FlowStep, StepRecord};
@@ -17,8 +17,8 @@ use std::collections::BTreeMap;
 ///
 /// The payload's `flow_run` string is the record's run id and every
 /// other field is a metric, in payload order. An `Int` field reads back
-/// as `f64` (the codecs store whole floats as integers). A `null` field
-/// (how both formats store a non-finite float) and any other
+/// as `f64` (the codec stores whole floats as integers). A `null` field
+/// (how the codec stores a non-finite float) and any other
 /// non-numeric field are dropped. Events for unknown steps, or without a
 /// string `flow_run`, are skipped.
 #[must_use]
@@ -89,7 +89,7 @@ mod tests {
     use ideaflow_flow::options::SpnrOptions;
     use ideaflow_flow::spnr::SpnrFlow;
     use ideaflow_netlist::generate::{DesignClass, DesignSpec};
-    use ideaflow_trace::{parse_jsonl, Journal, JournalFormat};
+    use ideaflow_trace::{parse_jsonl, Journal};
 
     fn rec(run: &str, step: FlowStep, metrics: &[(&str, f64)]) -> StepRecord {
         let mut r = StepRecord::new(step, run);
@@ -109,17 +109,17 @@ mod tests {
     }
 
     #[test]
-    fn both_journal_formats_rebuild_what_run_logged_returned() {
-        let jsonl = Journal::in_memory("corpus");
-        let expected = journaled_runs(jsonl.clone());
-        let events = parse_jsonl(&jsonl.drain_lines().join("\n")).unwrap();
+    fn memory_and_file_journals_rebuild_what_run_logged_returned() {
+        let memory = Journal::in_memory("corpus");
+        let expected = journaled_runs(memory.clone());
+        let events = parse_jsonl(&memory.drain_lines().join("\n")).unwrap();
         assert_eq!(from_events(&events), expected);
 
         let path = std::env::temp_dir().join(format!("corpus_{}.ifj", std::process::id()));
-        let binary = Journal::to_file_with_format("corpus", &path, JournalFormat::Binary).unwrap();
-        assert_eq!(journaled_runs(binary.clone()), expected);
-        binary.finish();
-        drop(binary);
+        let file = Journal::to_file("corpus", &path).unwrap();
+        assert_eq!(journaled_runs(file.clone()), expected);
+        file.finish();
+        drop(file);
         let reader = Journal::load(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(from_events(&reader.events), expected);

@@ -98,11 +98,18 @@ fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Request, 
         .map(|(n, v)| (n.trim().to_owned(), v.trim().to_owned()))
         .collect();
 
-    let content_length = headers
+    // More than one `Content-Length` is a framing error (RFC 9112
+    // §6.3): which one a proxy in front of us honoured is unknowable.
+    let mut lengths = headers
         .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case("content-length"))
-        .map_or(Ok(0), |(_, v)| v.parse::<usize>())
-        .map_err(|_| Response::text(400, "bad content-length\n"))?;
+        .filter(|(n, _)| n.eq_ignore_ascii_case("content-length"));
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => 0,
+        (Some((_, v)), None) => v
+            .parse::<usize>()
+            .map_err(|_| Response::text(400, "bad content-length\n"))?,
+        (Some(_), Some(_)) => return Err(Response::text(400, "repeated content-length\n")),
+    };
     if content_length > limits.max_body_bytes {
         return Err(Response::text(413, "request body too large\n"));
     }

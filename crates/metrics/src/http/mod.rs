@@ -462,6 +462,19 @@ mod tests {
     }
 
     #[test]
+    fn repeated_content_length_gets_400() {
+        let mut server = echo_server(HttpLimits::default());
+        let port = server.port();
+        for lengths in ["0\r\nContent-Length: 9999", "5\r\ncontent-length: 5"] {
+            let req = format!("GET /healthz HTTP/1.1\r\nContent-Length: {lengths}\r\n\r\nhello");
+            let out = raw(port, req.as_bytes());
+            assert!(out.starts_with("HTTP/1.1 400"), "{lengths:?}: {out}");
+            assert!(out.contains("repeated content-length"), "{out}");
+        }
+        server.shutdown();
+    }
+
+    #[test]
     fn connection_cap_answers_503_with_retry_after() {
         let mut server = echo_server(HttpLimits {
             read_timeout: Duration::from_millis(500),

@@ -27,7 +27,7 @@ use ideaflow_bench::experiments::{fig06_orchestration, fig07_mab};
 use ideaflow_exec::CancelToken;
 use ideaflow_flow::cache::QorCache;
 use ideaflow_metrics::http::{HttpLimits, HttpServer};
-use ideaflow_trace::{EventStream, Journal, JournalFormat, TelemetryRegistry};
+use ideaflow_trace::{EventStream, Journal, TelemetryRegistry};
 
 use crate::queue::{self, Claim, DurableQueue};
 use crate::spec::CampaignKind;
@@ -240,7 +240,7 @@ fn execute(
     token: &CancelToken,
 ) -> Result<(f64, Option<String>), String> {
     let journal_path = queue::attempt_journal_path(&shared.state_dir, &claim.id, claim.attempt);
-    let journal = Journal::to_file_with_format(&claim.id, &journal_path, JournalFormat::Binary)
+    let journal = Journal::to_file(&claim.id, &journal_path)
         .map_err(|e| format!("cannot open campaign journal: {e}"))?
         .with_telemetry(shared.registry.clone());
     let outcome = match claim.spec.kind {

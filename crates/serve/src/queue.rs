@@ -39,7 +39,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use ideaflow_trace::{EventStream, Journal, JournalFormat, RunEvent, TelemetryRegistry};
+use ideaflow_trace::{EventStream, Journal, RunEvent, TelemetryRegistry};
 use serde::Value;
 
 use crate::spec::CampaignSpec;
@@ -206,7 +206,7 @@ impl DurableQueue {
         // Compact-rewrite: the journal writer truncates on open, so
         // write the folded state to a sibling and rename over.
         let tmp = state_dir.join("queue.new.ifj");
-        let mut journal = Journal::to_file_with_format("queue", &tmp, JournalFormat::Binary)?;
+        let mut journal = Journal::to_file("queue", &tmp)?;
         if let Some(t) = &telemetry {
             journal = journal.with_telemetry(t.clone());
         }

@@ -152,6 +152,25 @@ fn admission_control_sheds_with_429_and_retry_after() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
+#[test]
+fn deeply_nested_body_gets_400_and_the_daemon_lives_on() {
+    let state = scratch("deepbody");
+    let mut cfg = DaemonConfig::new(&state);
+    cfg.workers = 0;
+    let mut daemon = Daemon::start(&cfg).unwrap();
+    let port = daemon.port();
+
+    // One nesting level per byte, far past the JSON parser's bound.
+    let deep = request(port, "POST", "/campaigns", &"[".repeat(200_000));
+    assert!(deep.starts_with("HTTP/1.1 400"), "{deep}");
+    assert!(deep.contains("nesting deeper than 64"), "{deep}");
+    let health = request(port, "GET", "/healthz", "");
+    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+
+    daemon.drain();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
 /// Releases `clients` threads at once, each submitting one cheap
 /// campaign. Returns each response's status code and id.
 fn storm(port: u16, clients: usize, seed_base: usize) -> Vec<(String, String)> {

@@ -741,7 +741,7 @@ mod tests {
 
     #[test]
     fn tail_render_filters_and_limits_through_tail_events() {
-        let path = std::env::temp_dir().join(format!("ideaflow_tail_{}.jsonl", std::process::id()));
+        let path = std::env::temp_dir().join(format!("ideaflow_tail_{}.ifj", std::process::id()));
         let j = Journal::to_file("t", &path).unwrap();
         for i in 0..10 {
             j.emit("a", &[("i", (i as u64).into())]);

@@ -1,8 +1,8 @@
-//! `ifjournal`: offline analysis of ideaflow run journals. Both
-//! journal formats (JSONL and the length-prefixed binary codec) are
-//! accepted everywhere; the format is sniffed from the first byte.
-//! Every subcommand streams, so multi-GB corpora read in O(block)
-//! memory.
+//! `ifjournal`: offline analysis of ideaflow run journals (the
+//! length-prefixed binary codec every journal is written in). A file
+//! that does not start with the journal magic, such as a JSONL
+//! rendering, is refused with the bad-magic error. Every subcommand
+//! streams, so multi-GB corpora read in O(block) memory.
 //!
 //! ```text
 //! ifjournal summary [--by-thread|--failures] <journal>
@@ -14,16 +14,15 @@
 //!                                          timeouts, kills, censored pulls)
 //! ifjournal tail [--step S] [-n N] <journal>
 //!                                          last N events (default 10);
-//!                                          binary journals seek via the
-//!                                          embedded block index instead of
-//!                                          scanning from byte 0
+//!                                          seeks via the embedded block
+//!                                          index instead of scanning from
+//!                                          byte 0
 //! ifjournal diff <a> <b>                   per-step field-mean deltas
 //! ifjournal flame <journal>                folded stacks from span events
-//! ifjournal convert [--to <jsonl|binary>] <in> <out>
-//!                                          re-encode a journal (default:
-//!                                          the opposite of the input
-//!                                          format); decoded event streams
-//!                                          compare equal both ways
+//! ifjournal convert <in> <out>           render a journal as JSONL, one
+//!                                          event object per line; parsing
+//!                                          it back yields the decoded
+//!                                          events exactly
 //! ifjournal lint <journal>                 validate against the declared
 //!                                          trace schema registry (events,
 //!                                          fields, kinds, span and counter
@@ -37,9 +36,9 @@
 //!                                          rolling status line with event
 //!                                          rate, campaign round/best, pull
 //!                                          and censor rates, and active
-//!                                          alerts; a half-written line or
-//!                                          frame at EOF is held until the
-//!                                          next poll, never reported as
+//!                                          alerts; a half-written frame at
+//!                                          EOF is held until the next
+//!                                          poll, never reported as
 //!                                          malformed; exits when the
 //!                                          journal records its finish mark
 //! ifjournal grafana <dir>                  write the registry-derived
@@ -52,14 +51,14 @@
 
 use ideaflow_trace::schema::SchemaDiagnostic;
 use ideaflow_trace::{analyze, codec, grafana, schema};
-use ideaflow_trace::{DecodeError, EventStream, JournalFormat, RunEvent, StreamDecoder};
+use ideaflow_trace::{DecodeError, EventStream, RunEvent, StreamDecoder};
 
 const USAGE: &str = "usage: ifjournal <summary|tail|diff|flame|convert|lint|watch|grafana> ...
   ifjournal summary [--by-thread|--failures] <journal>
   ifjournal tail [--step <step>] [-n <count>] <journal>
   ifjournal diff <a> <b>
   ifjournal flame <journal>
-  ifjournal convert [--to <jsonl|binary>] <in> <out>
+  ifjournal convert <in> <out>
   ifjournal lint <journal>
   ifjournal watch [--interval-ms <ms>] [--once] <journal>
   ifjournal grafana <dir>";
@@ -89,7 +88,7 @@ fn run(args: Vec<String>) -> i32 {
     }
 }
 
-/// Streams every event of `path` through `ingest`, either format.
+/// Streams every event of `path` through `ingest`.
 fn fold(path: &str, mut ingest: impl FnMut(&RunEvent)) -> Result<(), i32> {
     let stream = match EventStream::open(path) {
         Ok(s) => s,
@@ -216,48 +215,13 @@ fn tail(args: &[String]) -> i32 {
 }
 
 fn convert(args: &[String]) -> i32 {
-    let mut to: Option<JournalFormat> = None;
-    let mut paths: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--to" => match it.next().and_then(|v| JournalFormat::parse(v)) {
-                Some(f) => to = Some(f),
-                None => {
-                    eprintln!("ifjournal: --to needs jsonl or binary\n{USAGE}");
-                    return 2;
-                }
-            },
-            _ if !a.starts_with('-') => paths.push(a),
-            _ => {
-                eprintln!("ifjournal: unexpected argument {a:?}\n{USAGE}");
-                return 2;
-            }
-        }
-    }
-    let [input, output] = paths[..] else {
+    let [input, output] = args else {
         eprintln!("{USAGE}");
         return 2;
     };
-    // Default target: the opposite of the input format.
-    let to = match to {
-        Some(f) => f,
-        None => match sniff_file(input) {
-            Ok(JournalFormat::Jsonl) => JournalFormat::Binary,
-            Ok(JournalFormat::Binary) => JournalFormat::Jsonl,
-            Err(e) => {
-                eprintln!("ifjournal: {input}: {e}");
-                return 1;
-            }
-        },
-    };
-    match codec::convert(input, output, to) {
-        Ok((count, from)) => {
-            println!(
-                "converted {count} events ({} -> {}) to {output}",
-                from.name(),
-                to.name()
-            );
+    match codec::convert(input, output) {
+        Ok(count) => {
+            println!("converted {count} events (binary -> jsonl) to {output}");
             0
         }
         Err(e) => {
@@ -265,14 +229,6 @@ fn convert(args: &[String]) -> i32 {
             1
         }
     }
-}
-
-fn sniff_file(path: &str) -> std::io::Result<JournalFormat> {
-    use std::io::Read;
-    let mut file = std::fs::File::open(path)?;
-    let mut first = [0u8; 1];
-    let n = file.read(&mut first)?;
-    Ok(codec::sniff_format(&first[..n]))
 }
 
 fn lint(args: &[String]) -> i32 {
@@ -290,7 +246,6 @@ fn lint(args: &[String]) -> i32 {
     };
     let mut dec = StreamDecoder::new();
     let mut diags: Vec<SchemaDiagnostic> = Vec::new();
-    let mut events = 0usize;
     let mut version_checked = false;
     let mut eof = false;
     let mut chunk = vec![0u8; 64 * 1024];
@@ -300,7 +255,7 @@ fn lint(args: &[String]) -> i32 {
             // Cross-version corpora are suspicious but not invalid:
             // warn on a missing or stale schema-hash header, fail only
             // on real findings.
-            if let Some(warning) = schema::version_warning_for(Some(event)) {
+            if let Some(warning) = schema::version_warning(Some(event)) {
                 eprintln!("ifjournal: {path}: warning: {warning}");
             }
         }
@@ -316,18 +271,10 @@ fn lint(args: &[String]) -> i32 {
     };
     loop {
         match dec.next_event() {
-            Ok(Some(event)) => {
-                events += 1;
-                check(&event, dec.position(), &mut diags);
-            }
+            Ok(Some(event)) => check(&event, dec.records() as usize, &mut diags),
             Ok(None) if eof => {
-                match dec.finish() {
-                    Ok(Some(event)) => {
-                        events += 1;
-                        check(&event, dec.position(), &mut diags);
-                    }
-                    Ok(None) => {}
-                    Err(e) => diags.push(decode_diag(&dec, e)),
+                if let Err(e) = dec.finish() {
+                    diags.push(decode_diag(&dec, e));
                 }
                 break;
             }
@@ -340,17 +287,14 @@ fn lint(args: &[String]) -> i32 {
                 }
             },
             Err(e) => {
-                let is_binary = dec.format() == Some(JournalFormat::Binary);
+                // A corrupt frame ends the decodable prefix.
                 diags.push(decode_diag(&dec, e));
-                // JSONL resynchronizes at the next newline; a corrupt
-                // binary frame ends the decodable prefix.
-                if is_binary {
-                    break;
-                }
+                break;
             }
         }
     }
     if diags.is_empty() {
+        let events = dec.records();
         println!("{path}: ok ({events} events conform to the schema registry)");
         return 0;
     }
@@ -366,20 +310,13 @@ fn lint(args: &[String]) -> i32 {
     1
 }
 
-/// A decode failure as a lint diagnostic, preserving the `lint_jsonl`
-/// message shape for malformed JSONL lines.
+/// A decode failure as a lint diagnostic, anchored at the record it
+/// stopped.
 fn decode_diag(dec: &StreamDecoder, e: DecodeError) -> SchemaDiagnostic {
-    match e {
-        DecodeError::Line { line, detail } => SchemaDiagnostic {
-            line,
-            event: String::new(),
-            message: format!("malformed event line: {detail}"),
-        },
-        other => SchemaDiagnostic {
-            line: dec.position() + 1,
-            event: String::new(),
-            message: other.to_string(),
-        },
+    SchemaDiagnostic {
+        line: dec.records() as usize + 1,
+        event: String::new(),
+        message: e.to_string(),
     }
 }
 
@@ -411,9 +348,9 @@ fn watch(args: &[String]) -> i32 {
     };
     // Incremental tail over raw bytes: the writer flushes only
     // seq-contiguous prefixes, so every read extends the event stream
-    // in order. The push decoder holds a trailing partial line or
-    // partial binary frame (mid-write) pending until the rest lands on
-    // a later poll — `next_event` just returns `Ok(None)` for it.
+    // in order. The push decoder holds a trailing partial frame
+    // (mid-write) pending until the rest lands on a later poll —
+    // `next_event` just returns `Ok(None)` for it.
     let mut state = analyze::WatchState::new();
     let mut dec = StreamDecoder::new();
     let mut offset: u64 = 0;

@@ -1,12 +1,12 @@
-//! Binary journal codec: length-prefixed frames with interned names,
-//! plus streaming decoders for both journal formats.
+//! The journal's one encoding: length-prefixed binary frames with
+//! interned names, and the streaming decoder every reader shares.
 //!
-//! Multi-GB campaign corpora make the JSONL substrate the bottleneck
-//! twice over: every emit pays full JSON string building, and every
-//! reader slurps the whole file before the first event is usable. This
-//! module adds a second wire format behind the same [`crate::Journal`]
-//! API — sniffed by magic bytes, so every reader keeps accepting both —
-//! with three frame kinds:
+//! Every [`crate::Journal`] sink writes these bytes: a file journal to
+//! disk, an in-memory journal into a decoder that
+//! [`crate::Journal::drain_lines`] renders. JSONL is only a rendering of
+//! decoded events (`ifjournal convert`, the daemon's follow stream,
+//! `drain_lines`); nothing reads it back as a journal. A file holds
+//! three frame kinds after the [`MAGIC`] bytes:
 //!
 //! - **dict**: defines interned name ids (event/step/field names). A
 //!   base dictionary derived from the schema registry is written right
@@ -29,14 +29,13 @@
 //! read. Frames are self-delimiting; a truncated tail (killed writer)
 //! decodes to the valid prefix plus [`DecodeError::Truncated`].
 //!
-//! # Cross-format equality
+//! # Rendering equality
 //!
-//! `ifjournal convert` promises the decoded record streams of the two
-//! formats compare equal. JSONL is lossy for floats (whole floats
-//! re-parse as ints, non-finite floats render as `null`), so the binary
-//! encoder applies the *same* normalization at encode time — see
-//! `norm_float`. Anything the JSONL round trip preserves, the binary
-//! round trip preserves bit-for-bit.
+//! JSONL is lossy for floats (whole floats re-parse as ints, non-finite
+//! floats render as `null`), so the encoder applies the *same*
+//! normalization at encode time — see `norm_float`. Parsing a rendered
+//! journal back therefore yields exactly the events the binary decoder
+//! yields.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
@@ -48,11 +47,12 @@ use serde::Value;
 
 use crate::RunEvent;
 
-/// First bytes of a binary journal. The leading `0x89` can never start
-/// a JSONL journal (it is not valid UTF-8 on its own, let alone JSON),
-/// which is the whole format-sniffing rule: first byte `0x89` → binary,
-/// anything else → JSONL. The `\r\n` catches line-ending mangling, the
-/// `\x1a` stops accidental `type` on Windows — the PNG header trick.
+/// First bytes of every journal. The leading `0x89` can never start a
+/// JSONL rendering (it is not valid UTF-8 on its own, let alone JSON),
+/// so a reader handed one fails at the first byte with
+/// [`DecodeError::BadMagic`] instead of misparsing it. The `\r\n`
+/// catches line-ending mangling, the `\x1a` stops accidental `type` on
+/// Windows — the PNG header trick.
 pub const MAGIC: [u8; 8] = [0x89, b'I', b'F', b'J', b'1', b'\r', b'\n', 0x1A];
 
 /// Marker bytes at the start of every index-frame body, so a reader can
@@ -74,8 +74,12 @@ const FRAME_DICT: u8 = 1;
 const FRAME_RECORD: u8 = 2;
 const FRAME_INDEX: u8 = 3;
 
-/// Depth bound for nested payload values while decoding, so corrupt
-/// frames cannot recurse the stack away.
+/// The deepest nesting of arrays and objects a record may carry, counted
+/// as it renders to JSON: the event object and its payload object are
+/// the first two levels. Corrupt frames cannot recurse the stack away,
+/// and the vendored `serde_json` parser stops at the same depth, so
+/// every record this decoder accepts renders to a JSONL line that
+/// parses back.
 const MAX_DEPTH: usize = 64;
 
 /// Most undefined ids a reader's name table may hold at once. Writer
@@ -83,43 +87,13 @@ const MAX_DEPTH: usize = 64;
 /// id far past the defined names must not size the table.
 const MAX_NAME_GAPS: usize = 1 << 16;
 
-/// The on-disk encoding of a journal file.
+/// The on-disk encoding of a journal file. The binary codec is the
+/// only one; this names it for callers of
+/// [`crate::Journal::to_file_with_format`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalFormat {
-    /// One JSON object per line (the original format).
-    Jsonl,
     /// Length-prefixed binary frames (this module).
     Binary,
-}
-
-impl JournalFormat {
-    /// Parses a `--journal-format` argument value.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "jsonl" | "json" => Some(Self::Jsonl),
-            "binary" | "bin" => Some(Self::Binary),
-            _ => None,
-        }
-    }
-
-    /// The canonical argument spelling.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Jsonl => "jsonl",
-            Self::Binary => "binary",
-        }
-    }
-}
-
-/// Sniffs the format from the first byte of a file.
-#[must_use]
-pub fn sniff_format(first_bytes: &[u8]) -> JournalFormat {
-    match first_bytes.first() {
-        Some(&b) if b == MAGIC[0] => JournalFormat::Binary,
-        _ => JournalFormat::Jsonl,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -493,12 +467,6 @@ impl BlockTracker {
         }
     }
 
-    /// Total records accounted so far.
-    #[must_use]
-    pub fn records(&self) -> u64 {
-        self.records_total
-    }
-
     /// Builds an index frame if one is due (or `force`d and the block is
     /// non-empty). `pos` is the absolute file offset the frame will be
     /// written at; the frame embeds the offset of its own sync marker,
@@ -549,7 +517,8 @@ impl BlockTracker {
 /// Why a journal failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The file claims to be binary but the magic is wrong.
+    /// The stream does not start with [`MAGIC`] (a JSONL rendering, for
+    /// one).
     BadMagic,
     /// The stream ends inside a frame — a killed writer's torn tail.
     /// Everything before `offset` decoded cleanly.
@@ -562,13 +531,6 @@ pub enum DecodeError {
         /// Byte offset of the offending frame's start.
         offset: u64,
         /// What was wrong.
-        detail: String,
-    },
-    /// A JSONL line failed to parse.
-    Line {
-        /// 1-based line number.
-        line: usize,
-        /// The parse error.
         detail: String,
     },
 }
@@ -584,7 +546,6 @@ impl std::fmt::Display for DecodeError {
             Self::Corrupt { offset, detail } => {
                 write!(f, "corrupt frame at byte {offset}: {detail}")
             }
-            Self::Line { line, detail } => write!(f, "line {line}: {detail}"),
         }
     }
 }
@@ -651,17 +612,19 @@ impl Names {
     }
 }
 
+/// Decodes one value that sits inside `depth` arrays and objects of
+/// its rendered event (see [`MAX_DEPTH`]).
 fn decode_value(
     buf: &[u8],
     pos: &mut usize,
     names: &mut Names,
     depth: usize,
 ) -> Result<Value, String> {
-    if depth > MAX_DEPTH {
-        return Err("value nesting exceeds depth bound".to_owned());
-    }
     let tag = *buf.get(*pos).ok_or("value tag missing")?;
     *pos += 1;
+    if matches!(tag, 6 | 7) && depth >= MAX_DEPTH {
+        return Err("value nesting exceeds depth bound".to_owned());
+    }
     match tag {
         0 => Ok(Value::Null),
         1 => Ok(Value::Bool(false)),
@@ -741,13 +704,12 @@ fn decode_name_mut(buf: &[u8], pos: &mut usize, names: &mut Names) -> Result<Str
     }
 }
 
-/// A push-based decoder for the binary format. Feed it bytes as they
-/// arrive ([`BinaryDecoder::push`]); [`BinaryDecoder::next_event`]
-/// yields complete records, returning `Ok(None)` when the buffered
-/// bytes end mid-frame — the contract `ifjournal watch` relies on to
-/// retry a torn tail on the next poll instead of reporting it
-/// malformed.
-pub struct BinaryDecoder {
+/// A push-based journal decoder. Feed it bytes as they arrive
+/// ([`StreamDecoder::push`]); [`StreamDecoder::next_event`] yields
+/// complete records, returning `Ok(None)` when the buffered bytes end
+/// mid-frame — the contract `ifjournal watch` relies on to retry a torn
+/// tail on the next poll instead of reporting it malformed.
+pub struct StreamDecoder {
     buf: Vec<u8>,
     consumed: usize,
     /// Absolute offset of `buf[consumed]` in the underlying stream.
@@ -757,13 +719,13 @@ pub struct BinaryDecoder {
     records: u64,
 }
 
-impl Default for BinaryDecoder {
+impl Default for StreamDecoder {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl BinaryDecoder {
+impl StreamDecoder {
     /// A decoder expecting a full file (magic first).
     #[must_use]
     pub fn new() -> Self {
@@ -815,11 +777,14 @@ impl BinaryDecoder {
     pub fn next_event(&mut self) -> Result<Option<RunEvent>, DecodeError> {
         loop {
             if !self.seen_magic {
-                if self.pending().len() < MAGIC.len() {
-                    return Ok(None);
-                }
-                if self.pending()[..MAGIC.len()] != MAGIC {
+                // Judge whatever prefix has arrived, so a stream that is
+                // not a journal fails at its first byte.
+                let have = self.pending().len().min(MAGIC.len());
+                if self.pending()[..have] != MAGIC[..have] {
                     return Err(DecodeError::BadMagic);
+                }
+                if have < MAGIC.len() {
+                    return Ok(None);
                 }
                 self.consumed += MAGIC.len();
                 self.pos += MAGIC.len() as u64;
@@ -893,8 +858,10 @@ impl BinaryDecoder {
                 let run_id = decode_name_mut(body, &mut p, names)?;
                 let step = decode_name_mut(body, &mut p, names)?;
                 let n = need(get_varint(body, &mut p)?, "field count")?;
+                // Depths count the event object (and the payload
+                // object) a rendering wraps the values in.
                 let payload = if n & 1 == 1 {
-                    decode_value(body, &mut p, names, 0)?
+                    decode_value(body, &mut p, names, 1)?
                 } else {
                     let count = (n >> 1) as usize;
                     if count > body.len() {
@@ -903,7 +870,7 @@ impl BinaryDecoder {
                     let mut entries = Vec::with_capacity(count);
                     for _ in 0..count {
                         let k = decode_name_mut(body, &mut p, names)?;
-                        let v = decode_value(body, &mut p, names, 0)?;
+                        let v = decode_value(body, &mut p, names, 2)?;
                         entries.push((k, v));
                     }
                     Value::Object(entries)
@@ -1005,173 +972,14 @@ impl IndexFrame {
     }
 }
 
-/// A push-based decoder for JSONL, working at the byte level: a poll
-/// that ends mid-line (even mid-UTF-8-sequence) keeps the partial bytes
-/// pending instead of failing, which is the watch-at-EOF fix.
-#[derive(Default)]
-pub struct JsonlDecoder {
-    buf: Vec<u8>,
-    consumed: usize,
-    line: usize,
-}
-
-impl JsonlDecoder {
-    /// An empty decoder.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds more bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        if self.consumed > 0 && self.consumed == self.buf.len() {
-            self.buf.clear();
-            self.consumed = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// 1-based number of the last line yielded.
-    #[must_use]
-    pub fn line(&self) -> usize {
-        self.line
-    }
-
-    fn parse_line(&mut self, bytes: &[u8]) -> Result<Option<RunEvent>, DecodeError> {
-        self.line += 1;
-        let text = std::str::from_utf8(bytes).map_err(|e| DecodeError::Line {
-            line: self.line,
-            detail: e.to_string(),
-        })?;
-        let trimmed = text.trim_end_matches('\r');
-        if trimmed.trim().is_empty() {
-            return Ok(None);
-        }
-        serde_json::from_str::<RunEvent>(trimmed)
-            .map(Some)
-            .map_err(|e| DecodeError::Line {
-                line: self.line,
-                detail: e.to_string(),
-            })
-    }
-
-    /// Parses the next complete line. `Ok(None)` means no full line is
-    /// buffered yet.
-    pub fn next_event(&mut self) -> Result<Option<RunEvent>, DecodeError> {
-        loop {
-            let pending = &self.buf[self.consumed..];
-            let Some(nl) = pending.iter().position(|&b| b == b'\n') else {
-                return Ok(None);
-            };
-            let line: Vec<u8> = pending[..nl].to_vec();
-            self.consumed += nl + 1;
-            match self.parse_line(&line)? {
-                Some(event) => return Ok(Some(event)),
-                None => continue, // blank line
-            }
-        }
-    }
-
-    /// Call at end of input: a final line without a trailing newline is
-    /// still a line (the `lines()` convention the old reader had).
-    pub fn finish(&mut self) -> Result<Option<RunEvent>, DecodeError> {
-        if self.consumed == self.buf.len() {
-            return Ok(None);
-        }
-        let rest: Vec<u8> = self.buf[self.consumed..].to_vec();
-        self.consumed = self.buf.len();
-        self.parse_line(&rest)
-    }
-}
-
-/// A push-based decoder that sniffs the format from the first byte and
-/// then behaves as [`JsonlDecoder`] or [`BinaryDecoder`].
-#[derive(Default)]
-pub enum StreamDecoder {
-    /// No bytes seen yet.
-    #[default]
-    Sniffing,
-    /// JSONL detected.
-    Jsonl(JsonlDecoder),
-    /// Binary detected.
-    Binary(BinaryDecoder),
-}
-
-impl StreamDecoder {
-    /// A decoder that will sniff the format from the first pushed byte.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::Sniffing
-    }
-
-    /// Feeds more bytes, deciding the format on the first nonempty
-    /// push.
-    pub fn push(&mut self, bytes: &[u8]) {
-        if let Self::Sniffing = self {
-            if bytes.is_empty() {
-                return;
-            }
-            *self = match sniff_format(bytes) {
-                JournalFormat::Binary => Self::Binary(BinaryDecoder::new()),
-                JournalFormat::Jsonl => Self::Jsonl(JsonlDecoder::new()),
-            };
-        }
-        match self {
-            Self::Sniffing => unreachable!("format decided above"),
-            Self::Jsonl(d) => d.push(bytes),
-            Self::Binary(d) => d.push(bytes),
-        }
-    }
-
-    /// The sniffed format, once bytes have arrived.
-    #[must_use]
-    pub fn format(&self) -> Option<JournalFormat> {
-        match self {
-            Self::Sniffing => None,
-            Self::Jsonl(_) => Some(JournalFormat::Jsonl),
-            Self::Binary(_) => Some(JournalFormat::Binary),
-        }
-    }
-
-    /// 1-based position (line or record ordinal) of the last event.
-    #[must_use]
-    pub fn position(&self) -> usize {
-        match self {
-            Self::Sniffing => 0,
-            Self::Jsonl(d) => d.line(),
-            Self::Binary(d) => d.records() as usize,
-        }
-    }
-
-    /// Decodes the next event; `Ok(None)` means the buffer ends
-    /// mid-line/mid-frame.
-    pub fn next_event(&mut self) -> Result<Option<RunEvent>, DecodeError> {
-        match self {
-            Self::Sniffing => Ok(None),
-            Self::Jsonl(d) => d.next_event(),
-            Self::Binary(d) => d.next_event(),
-        }
-    }
-
-    /// Call at end of input: JSONL may yield one final unterminated
-    /// line; binary residue is a torn tail.
-    pub fn finish(&mut self) -> Result<Option<RunEvent>, DecodeError> {
-        match self {
-            Self::Sniffing => Ok(None),
-            Self::Jsonl(d) => d.finish(),
-            Self::Binary(d) => d.finish().map(|()| None),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // streaming file reader
 // ---------------------------------------------------------------------------
 
 const CHUNK: usize = 64 * 1024;
 
-/// A streaming iterator over a journal file in either format. Peak
-/// memory is one read chunk plus one frame — this is what lets
+/// A streaming iterator over a journal file. Peak memory is one read
+/// chunk plus one frame — this is what lets
 /// `ifjournal` and the seed-from-journal paths handle corpora that do
 /// not fit in RAM.
 pub struct EventStream {
@@ -1195,18 +1003,6 @@ impl EventStream {
             done: false,
         })
     }
-
-    /// The sniffed format (`None` until the first bytes are read).
-    #[must_use]
-    pub fn format(&self) -> Option<JournalFormat> {
-        self.dec.format()
-    }
-
-    /// 1-based line/record position of the last yielded event.
-    #[must_use]
-    pub fn position(&self) -> usize {
-        self.dec.position()
-    }
 }
 
 impl Iterator for EventStream {
@@ -1222,11 +1018,7 @@ impl Iterator for EventStream {
                 Ok(None) => {
                     if self.eof {
                         self.done = true;
-                        return match self.dec.finish() {
-                            Ok(Some(event)) => Some(Ok(event)),
-                            Ok(None) => None,
-                            Err(e) => Some(Err(e)),
-                        };
+                        return self.dec.finish().err().map(Err);
                     }
                     let mut chunk = [0u8; CHUNK];
                     match self.file.read(&mut chunk) {
@@ -1255,8 +1047,8 @@ impl Iterator for EventStream {
 // ---------------------------------------------------------------------------
 
 /// Writes pre-assigned [`RunEvent`]s to a binary journal, preserving
-/// their seq/run-id exactly. This is the single-threaded path used by
-/// `ifjournal convert` and corpus generators; live [`crate::Journal`]
+/// their seq/run-id exactly: the single-threaded path for corpus
+/// generators and tests that need exact seqs. Live [`crate::Journal`]
 /// handles encode frames per worker thread instead.
 pub struct BinaryWriter<W: Write> {
     out: W,
@@ -1316,58 +1108,39 @@ impl<W: Write> BinaryWriter<W> {
     }
 }
 
-/// Converts a journal file between formats (either direction; also
-/// accepts same-format "conversion", which is a normalization pass).
-/// Lossless in the decoded-record-stream sense: the output decodes to
-/// exactly the events the input decodes to.
+/// Renders a journal file as JSONL, one [`RunEvent`] object per line.
+/// Parsing the output with [`crate::parse_jsonl`] yields exactly the
+/// events the input decodes to.
 ///
-/// Returns `(record count, source format)`.
+/// Returns the record count.
 ///
 /// # Errors
 ///
 /// Returns I/O errors, and `InvalidData` wrapping the [`DecodeError`]
 /// for malformed input.
-pub fn convert(
-    input: impl AsRef<Path>,
-    output: impl AsRef<Path>,
-    to: JournalFormat,
-) -> std::io::Result<(u64, JournalFormat)> {
-    let mut stream = EventStream::open(input)?;
-    let out = File::create(output)?;
-    let mut buffered = std::io::BufWriter::new(out);
+pub fn convert(input: impl AsRef<Path>, output: impl AsRef<Path>) -> std::io::Result<u64> {
+    let stream = EventStream::open(input)?;
+    let mut out = std::io::BufWriter::new(File::create(output)?);
     let mut count = 0u64;
-    match to {
-        JournalFormat::Binary => {
-            let mut writer = BinaryWriter::new(&mut buffered)?;
-            for event in &mut stream {
-                writer.write_event(&event?)?;
-                count += 1;
-            }
-            writer.finish()?;
-        }
-        JournalFormat::Jsonl => {
-            for event in &mut stream {
-                let line = serde_json::to_string(&event?).expect("decoded events are serializable");
-                buffered.write_all(line.as_bytes())?;
-                buffered.write_all(b"\n")?;
-                count += 1;
-            }
-        }
+    for event in stream {
+        let line = serde_json::to_string(&event?).expect("decoded events are serializable");
+        out.write_all(line.as_bytes())?;
+        out.write_all(b"\n")?;
+        count += 1;
     }
-    buffered.flush()?;
-    let from = stream.format().unwrap_or(JournalFormat::Jsonl);
-    Ok((count, from))
+    out.flush()?;
+    Ok(count)
 }
 
 // ---------------------------------------------------------------------------
 // indexed tail
 // ---------------------------------------------------------------------------
 
-/// Returns the last `n` events (optionally filtered to one step). For
-/// binary files this seeks to the latest index frame that still leaves
-/// `n` records ahead and decodes only the tail blocks; JSONL and tiny
-/// or index-less files fall back to a full streaming scan with an
-/// `n`-bounded ring buffer (flat memory either way).
+/// Returns the last `n` events (optionally filtered to one step). This
+/// seeks to the latest index frame that still leaves `n` records ahead
+/// and decodes only the tail blocks; files under 256 KiB, and files
+/// without a usable index, fall back to [`full_scan_tail`] (flat memory
+/// either way).
 ///
 /// # Errors
 ///
@@ -1383,9 +1156,7 @@ pub fn tail_events(
     }
     let mut file = File::open(path)?;
     let file_len = file.metadata()?.len();
-    let mut head = vec![0u8; 4096.min(file_len as usize)];
-    file.read_exact(&mut head)?;
-    if sniff_format(&head) != JournalFormat::Binary || file_len < (256 << 10) {
+    if file_len < (256 << 10) {
         return full_scan_tail(path, step, n);
     }
     match indexed_tail(&mut file, file_len, step, n)? {
@@ -1394,7 +1165,17 @@ pub fn tail_events(
     }
 }
 
-fn full_scan_tail(path: &Path, step: Option<&str>, n: usize) -> std::io::Result<Vec<RunEvent>> {
+/// [`tail_events`] by decoding every record from the start, keeping the
+/// last `n` (optionally filtered to one step) in a ring buffer.
+///
+/// # Errors
+///
+/// Returns I/O errors, and `InvalidData` for malformed journals.
+pub fn full_scan_tail(
+    path: impl AsRef<Path>,
+    step: Option<&str>,
+    n: usize,
+) -> std::io::Result<Vec<RunEvent>> {
     let stream = EventStream::open(path)?;
     let mut ring: VecDeque<RunEvent> = VecDeque::with_capacity(n + 1);
     for event in stream {
@@ -1427,7 +1208,7 @@ fn indexed_tail(
 ) -> std::io::Result<Option<Vec<RunEvent>>> {
     // The base dictionary lives in the header; decode it once.
     file.seek(SeekFrom::Start(0))?;
-    let mut header_dec = BinaryDecoder::new();
+    let mut header_dec = StreamDecoder::new();
     let base: Names = loop {
         let mut chunk = [0u8; CHUNK];
         let read = file.read(&mut chunk)?;
@@ -1530,7 +1311,7 @@ fn decode_from(
     n: usize,
 ) -> std::io::Result<Vec<RunEvent>> {
     file.seek(SeekFrom::Start(resume_at))?;
-    let mut dec = BinaryDecoder::resume(names, resume_at);
+    let mut dec = StreamDecoder::resume(names, resume_at);
     let mut ring: VecDeque<RunEvent> = VecDeque::with_capacity(n + 1);
     let mut chunk = [0u8; CHUNK];
     loop {
@@ -1577,7 +1358,7 @@ mod tests {
         for e in events {
             bytes.extend_from_slice(&record_frame(&table, &mut tn, e));
         }
-        let mut dec = BinaryDecoder::new();
+        let mut dec = StreamDecoder::new();
         dec.push(&bytes);
         let mut out = Vec::new();
         while let Some(e) = dec.next_event().unwrap() {
@@ -1676,7 +1457,7 @@ mod tests {
         }
         // Chop mid-way through the last frame.
         let torn = &bytes[..bytes.len() - 3];
-        let mut dec = BinaryDecoder::new();
+        let mut dec = StreamDecoder::new();
         dec.push(torn);
         let mut out = Vec::new();
         while let Some(e) = dec.next_event().unwrap() {
@@ -1707,7 +1488,7 @@ mod tests {
         for e in &events {
             bytes.extend_from_slice(&record_frame(&table, &mut tn, e));
         }
-        let mut dec = BinaryDecoder::new();
+        let mut dec = StreamDecoder::new();
         dec.push(&bytes);
         let mut out = Vec::new();
         while let Some(e) = dec.next_event().unwrap() {
@@ -1722,73 +1503,22 @@ mod tests {
         // Giant length prefix.
         let mut bytes = MAGIC.to_vec();
         put_varint(&mut bytes, (MAX_FRAME + 1) as u64);
-        let mut dec = BinaryDecoder::new();
+        let mut dec = StreamDecoder::new();
         dec.push(&bytes);
         assert!(matches!(dec.next_event(), Err(DecodeError::Corrupt { .. })));
         // Unknown frame kind.
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(&frame(vec![99u8]));
-        let mut dec = BinaryDecoder::new();
+        let mut dec = StreamDecoder::new();
         dec.push(&bytes);
         assert!(matches!(
             dec.next_event(),
             Err(DecodeError::Corrupt { offset, .. }) if offset == 8
         ));
         // Wrong magic.
-        let mut dec = BinaryDecoder::new();
+        let mut dec = StreamDecoder::new();
         dec.push(b"\x89WRONG!!!");
         assert_eq!(dec.next_event(), Err(DecodeError::BadMagic));
-    }
-
-    #[test]
-    fn jsonl_decoder_holds_partial_lines_and_split_utf8() {
-        let event = ev(
-            "r",
-            "prop.event",
-            0,
-            vec![("s", Value::Str("héllo".to_owned()))],
-        );
-        let line = format!("{}\n", serde_json::to_string(&event).unwrap());
-        let bytes = line.as_bytes();
-        // Split inside the 2-byte UTF-8 sequence for 'é'.
-        let split = line.find('é').unwrap() + 1;
-        let mut dec = JsonlDecoder::new();
-        dec.push(&bytes[..split]);
-        assert_eq!(dec.next_event(), Ok(None), "partial line stays pending");
-        dec.push(&bytes[split..]);
-        assert_eq!(dec.next_event(), Ok(Some(event)));
-        assert_eq!(dec.next_event(), Ok(None));
-    }
-
-    #[test]
-    fn jsonl_finish_parses_an_unterminated_final_line() {
-        let event = ev("r", "prop.event", 0, vec![]);
-        let line = serde_json::to_string(&event).unwrap();
-        let mut dec = JsonlDecoder::new();
-        dec.push(line.as_bytes()); // no trailing newline
-        assert_eq!(dec.next_event(), Ok(None));
-        assert_eq!(dec.finish(), Ok(Some(event)));
-        assert_eq!(dec.finish(), Ok(None));
-    }
-
-    #[test]
-    fn stream_decoder_sniffs_both_formats() {
-        let event = ev("r", "prop.event", 0, vec![]);
-        let mut dec = StreamDecoder::new();
-        assert_eq!(dec.format(), None);
-        dec.push(serde_json::to_string(&event).unwrap().as_bytes());
-        dec.push(b"\n");
-        assert_eq!(dec.format(), Some(JournalFormat::Jsonl));
-        assert_eq!(dec.next_event(), Ok(Some(event.clone())));
-
-        let table = NameTable::with_base(base_names());
-        let mut tn = ThreadNames::default();
-        let mut bytes = header_bytes(&base_names());
-        bytes.extend_from_slice(&record_frame(&table, &mut tn, &event));
-        let mut dec = StreamDecoder::new();
-        dec.push(&bytes);
-        assert_eq!(dec.format(), Some(JournalFormat::Binary));
-        assert_eq!(dec.next_event(), Ok(Some(event)));
     }
 
     #[test]
@@ -1830,7 +1560,7 @@ mod tests {
         let mut bytes = header_bytes(&base_names());
         bytes.extend_from_slice(&record_frame(&table, &mut tn_b, &e1));
         bytes.extend_from_slice(&record_frame(&table, &mut tn_a, &e2));
-        let mut dec = BinaryDecoder::new();
+        let mut dec = StreamDecoder::new();
         dec.push(&bytes);
         assert_eq!(
             dec.next_event().unwrap().unwrap().step,
@@ -1896,54 +1626,39 @@ mod tests {
     }
 
     #[test]
-    fn convert_is_lossless_both_ways() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let jsonl = dir.join(format!("ideaflow_codec_conv_{pid}.jsonl"));
-        let bin = dir.join(format!("ideaflow_codec_conv_{pid}.ifj"));
-        let back = dir.join(format!("ideaflow_codec_conv_back_{pid}.jsonl"));
-        let events: Vec<RunEvent> = (0..50)
-            .map(|i| {
-                ev(
-                    "r",
-                    "prop.event",
-                    i,
-                    vec![
-                        ("i", Value::Int(i as i64)),
-                        ("x", Value::Float(i as f64 + 0.25)),
-                        ("whole", Value::Float(i as f64)),
-                    ],
-                )
-            })
-            .collect();
-        let mut text = String::new();
-        for e in &events {
-            text.push_str(&serde_json::to_string(e).unwrap());
-            text.push('\n');
+    fn a_jsonl_rendering_is_refused_at_its_first_byte() {
+        let line = serde_json::to_string(&ev("r", "prop.event", 0, vec![])).unwrap();
+        let mut dec = StreamDecoder::new();
+        dec.push(&line.as_bytes()[..1]);
+        assert_eq!(dec.next_event(), Err(DecodeError::BadMagic));
+    }
+
+    #[test]
+    fn every_decodable_depth_renders_and_parses_back() {
+        // `k` nested arrays in a field sit inside the event and payload
+        // objects: `k + 2` containers deep as JSON.
+        let nest = |k: usize| (0..k).fold(Value::Null, |v, _| Value::Array(vec![v]));
+        for k in [MAX_DEPTH - 2, MAX_DEPTH - 1] {
+            let event = ev("r", "prop.event", 0, vec![("v", nest(k))]);
+            let table = NameTable::with_base(base_names());
+            let mut bytes = header_bytes(&base_names());
+            bytes.extend_from_slice(&record_frame(&table, &mut ThreadNames::default(), &event));
+            let mut dec = StreamDecoder::new();
+            dec.push(&bytes);
+            let decoded = dec.next_event();
+            let line = serde_json::to_string(&event).unwrap();
+            let parsed = serde_json::from_str::<RunEvent>(&line);
+            if k + 2 <= MAX_DEPTH {
+                assert_eq!(decoded, Ok(Some(event.clone())));
+                assert_eq!(parsed.unwrap(), event);
+            } else {
+                assert!(
+                    matches!(decoded, Err(DecodeError::Corrupt { .. })),
+                    "{decoded:?}"
+                );
+                assert!(parsed.is_err());
+            }
         }
-        std::fs::write(&jsonl, &text).unwrap();
-        let (n1, from1) = convert(&jsonl, &bin, JournalFormat::Binary).unwrap();
-        assert_eq!((n1, from1), (50, JournalFormat::Jsonl));
-        let (n2, from2) = convert(&bin, &back, JournalFormat::Jsonl).unwrap();
-        assert_eq!((n2, from2), (50, JournalFormat::Binary));
-        let a: Vec<RunEvent> = EventStream::open(&jsonl)
-            .unwrap()
-            .map(Result::unwrap)
-            .collect();
-        let b: Vec<RunEvent> = EventStream::open(&bin)
-            .unwrap()
-            .map(Result::unwrap)
-            .collect();
-        let c: Vec<RunEvent> = EventStream::open(&back)
-            .unwrap()
-            .map(Result::unwrap)
-            .collect();
-        std::fs::remove_file(&jsonl).ok();
-        std::fs::remove_file(&bin).ok();
-        std::fs::remove_file(&back).ok();
-        assert_eq!(a, b, "jsonl → binary preserves the decoded stream");
-        assert_eq!(b, c, "binary → jsonl preserves the decoded stream");
-        assert_eq!(a, c, "full cycle is the identity");
     }
 
     #[test]
@@ -1992,7 +1707,7 @@ mod tests {
         far_id.extend_from_slice(&frame(body));
         assert_eq!((huge_base.len(), far_id.len() - MAGIC.len()), (43, 21));
         for bytes in [huge_base, far_id] {
-            let mut dec = BinaryDecoder::new();
+            let mut dec = StreamDecoder::new();
             dec.push(&bytes);
             let err = dec.next_event().unwrap_err();
             assert!(
@@ -2058,8 +1773,7 @@ mod tests {
         BYTES.get_or_init(|| {
             let path = std::env::temp_dir()
                 .join(format!("ideaflow_codec_real_{}.ifj", std::process::id()));
-            let j =
-                crate::Journal::to_file_with_format("fuzz", &path, JournalFormat::Binary).unwrap();
+            let j = crate::Journal::to_file("fuzz", &path).unwrap();
             for i in 0..6000u64 {
                 let _span = (i % 100 == 0).then(|| j.span("fuzz.block"));
                 j.emit("flow.place", &[("hpwl_um", (i as f64 * 0.5).into())]);

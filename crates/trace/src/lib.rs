@@ -7,7 +7,9 @@
 //! bandit pulls, orchestration) can emit structured events into, with
 //!
 //! - **events**: [`RunEvent`] `{ run_id, step, seq, payload }` appended
-//!   as one JSON object per line (JSONL);
+//!   as length-prefixed binary frames (the [`codec`]), to a file or to
+//!   memory; JSONL is what [`Journal::drain_lines`] and
+//!   `ifjournal convert` render from them;
 //! - **counters** and **histograms**: cheap in-process aggregates,
 //!   flushed as a final `journal.summary` event;
 //! - **timers**: wall-clock scopes recorded as both an event field and a
@@ -19,12 +21,12 @@
 //! # Concurrency: per-worker buffers, one ordered writer
 //!
 //! The emit hot path shares **no lock** between threads: `emit` claims a
-//! `seq` ticket from an atomic counter, serializes the line outside any
-//! lock, and appends it to a per-thread buffer (registered lazily, one
+//! `seq` ticket from an atomic counter, encodes the frame outside any
+//! shared lock, and appends it to a per-thread buffer (registered lazily, one
 //! per `(journal, thread)` pair). `count`/`observe` aggregate into the
 //! same thread-local buffer. Ordering is restored at flush time: a
 //! flush drains every thread buffer under the sink lock, sorts by
-//! `seq`, and writes only the *seq-contiguous prefix* — a line whose
+//! `seq`, and writes only the *seq-contiguous prefix* — a frame whose
 //! predecessor ticket is still in flight on another worker stays staged
 //! until the gap closes. The sequence any reader of the sink observes
 //! is therefore strictly increasing per run, exactly as when `seq` was
@@ -34,10 +36,10 @@
 //! whatever remains, so no event is ever lost — including events
 //! buffered by a worker that panicked.
 //!
-//! The reader half ([`Journal::load`] / [`JournalReader`]) parses JSONL
-//! back into events and computes per-step summary statistics, which is
-//! what downstream analysis (doomed-run prediction, bandit warm-starts)
-//! consumes.
+//! The reader half ([`Journal::load`] / [`EventStream`] /
+//! [`JournalReader`]) decodes frames back into events and computes
+//! per-step summary statistics, which is what downstream analysis
+//! (doomed-run prediction, bandit warm-starts) consumes.
 
 use std::cell::RefCell;
 use std::fs::File;
@@ -109,21 +111,12 @@ impl Deserialize for RunEvent {
 
 enum Sink {
     File(BufWriter<File>),
-    Memory(Vec<String>),
-    /// Discards event lines (seq still advances). Used by
-    /// [`Journal::telemetry_only`] so live aggregation can run without
-    /// paying for serialization or I/O.
-    Null,
+    /// The bytes a file would hold, kept in the decoder that
+    /// [`Journal::drain_lines`] renders them through.
+    Memory(StreamDecoder),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SinkKind {
-    File,
-    Memory,
-    Null,
-}
-
-/// A thread's private slice of one journal: serialized event lines
+/// A thread's private slice of one journal: encoded event frames
 /// (tagged with their seq tickets) plus counter/histogram aggregates.
 /// Owned by the journal (so buffered data survives the thread), keyed
 /// from the emitting thread through a TLS `Weak`.
@@ -132,36 +125,76 @@ struct ThreadBuf {
     state: Mutex<BufState>,
 }
 
-/// One buffered record: its seq ticket, its encoded bytes (a JSONL
-/// line without the newline, or a complete binary frame), and — for
-/// binary journals — its step name, which the writer's block tracker
-/// folds into index frames.
-type BufferedLine = (u64, Vec<u8>, String);
+/// One buffered record: its seq ticket, its complete record frame, and
+/// its step name, which the writer's block tracker folds into index
+/// frames.
+type BufferedFrame = (u64, Vec<u8>, String);
 
 #[derive(Default)]
 struct BufState {
-    lines: Vec<BufferedLine>,
+    frames: Vec<BufferedFrame>,
     counters: Vec<(String, u64)>,
     histograms: Vec<(String, Histogram)>,
-    /// Which dynamic name ids this thread has defined inline (binary
-    /// journals only; see [`codec::ThreadNames`]).
+    /// Which dynamic name ids this thread has defined inline (see
+    /// [`codec::ThreadNames`]).
     names: codec::ThreadNames,
 }
 
 struct SinkState {
     sink: Sink,
-    /// Lines drained from thread buffers but not yet written: kept
+    /// Frames drained from thread buffers but not yet written: kept
     /// sorted by seq; only the prefix contiguous with `next_write` goes
     /// to the sink, so a flush racing in-flight emits cannot reorder
     /// the stream.
-    staged: Vec<BufferedLine>,
+    staged: Vec<BufferedFrame>,
     /// The seq the sink expects next (everything below it is written).
     next_write: u64,
-    /// Bytes written to the sink so far (binary journals: index frames
-    /// embed their own absolute offset).
+    /// Bytes written to the sink so far (index frames embed their own
+    /// absolute offset).
     bytes_written: u64,
-    /// Block statistics feeding periodic index frames (binary only).
+    /// Block statistics feeding periodic index frames.
     block: codec::BlockTracker,
+}
+
+impl SinkState {
+    fn write(&mut self, bytes: &[u8]) {
+        match &mut self.sink {
+            Sink::File(w) => {
+                let _ = w.write_all(bytes);
+            }
+            Sink::Memory(dec) => dec.push(bytes),
+        }
+        self.bytes_written += bytes.len() as u64;
+    }
+
+    /// Writes the staged frames in seq order — only the prefix
+    /// contiguous with `next_write`, or all of them when `write_all`
+    /// (safe only once no emit can be in flight, i.e. from the final
+    /// drop) — with an index frame at each block boundary. The boundary
+    /// depends only on the record count, so index placement is as
+    /// deterministic as the records themselves.
+    fn write_staged(&mut self, names: &codec::NameTable, write_all: bool) {
+        // Moved out for the loop, so `self.write` can borrow `self`.
+        let staged = std::mem::take(&mut self.staged);
+        let mut written = 0;
+        for (seq, frame, step) in &staged {
+            if !write_all && *seq != self.next_write {
+                break; // a predecessor ticket is still in flight
+            }
+            self.write(frame);
+            self.block.on_record(*seq, step);
+            if let Some(idx) = self
+                .block
+                .maybe_index_frame(self.bytes_written, names, false)
+            {
+                self.write(&idx);
+            }
+            self.next_write = seq + 1;
+            written += 1;
+        }
+        self.staged = staged;
+        self.staged.drain(..written);
+    }
 }
 
 struct Inner {
@@ -170,19 +203,17 @@ struct Inner {
     /// open-span TLS maps (an id, unlike the `Arc` address, can never
     /// be recycled into a colliding key).
     id: u64,
-    kind: SinkKind,
-    /// The on-disk encoding (file sinks may be binary; memory and null
-    /// sinks are always JSONL).
-    format: JournalFormat,
-    /// The journal-wide name interner (binary journals only).
-    names: Option<codec::NameTable>,
+    /// The journal-wide name interner.
+    names: codec::NameTable,
     /// Next event seq ticket. Claimed with a single `fetch_add`; the
     /// sink lock is no longer on the emit path.
     seq: AtomicU64,
     /// Next span id; spans are numbered in open order per journal, which
     /// keeps fixed-seed runs byte-identical modulo wall-clock fields.
     next_span: AtomicU64,
-    sink: Mutex<SinkState>,
+    /// `None` for a telemetry-only journal, which discards events
+    /// without encoding them.
+    sink: Option<Mutex<SinkState>>,
     /// Every thread buffer ever registered, in registration order (the
     /// deterministic merge order for counters/histograms at `finish`).
     buffers: Mutex<Vec<Arc<ThreadBuf>>>,
@@ -193,11 +224,11 @@ struct Inner {
     telemetry: RwLock<Option<TelemetryRegistry>>,
 }
 
-/// Once a thread's buffer holds this many unflushed lines, emit flushes
-/// the contiguous prefix to the sink — bounding memory for long runs
-/// that never call `flush`/`finish` mid-way, while amortizing the sink
-/// lock over many events.
-const AUTO_FLUSH_LINES: usize = 1024;
+/// Once a thread's buffer holds this many unflushed frames, emit
+/// flushes the contiguous prefix to the sink — bounding memory for long
+/// runs that never call `flush`/`finish` mid-way, while amortizing the
+/// sink lock over many events.
+const AUTO_FLUSH_FRAMES: usize = 1024;
 
 static NEXT_JOURNAL_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -231,66 +262,23 @@ impl Inner {
     }
 
     /// Drains every thread buffer into the staging area and writes the
-    /// seq-contiguous prefix (everything, when `write_all` — only safe
-    /// once no emit can be in flight, i.e. from the final drop).
-    fn write_buffered(&self, write_all: bool) {
-        if self.kind == SinkKind::Null {
+    /// seq-contiguous prefix.
+    fn write_buffered(&self) {
+        let Some(sink) = &self.sink else {
             return;
-        }
-        let mut sink = self.sink.lock();
+        };
+        let mut sink = sink.lock();
         let bufs: Vec<Arc<ThreadBuf>> = self.buffers.lock().clone();
         for buf in &bufs {
             let mut st = buf.state.lock();
             if sink.staged.is_empty() {
-                sink.staged = std::mem::take(&mut st.lines);
+                sink.staged = std::mem::take(&mut st.frames);
             } else {
-                sink.staged.append(&mut st.lines);
+                sink.staged.append(&mut st.frames);
             }
         }
         sink.staged.sort_unstable_by_key(|(s, _, _)| *s);
-        let SinkState {
-            sink: out,
-            staged,
-            next_write,
-            bytes_written,
-            block,
-        } = &mut *sink;
-        let mut written = 0;
-        for (s, line, step) in staged.iter() {
-            if !write_all && *s != *next_write {
-                break; // a predecessor ticket is still in flight
-            }
-            match out {
-                Sink::File(w) => match &self.names {
-                    // Binary: the bytes are a complete frame; account
-                    // it and drop an index frame at block boundaries.
-                    // The boundary depends only on the record count, so
-                    // index placement is as deterministic as the
-                    // records themselves.
-                    Some(table) => {
-                        let _ = w.write_all(line);
-                        *bytes_written += line.len() as u64;
-                        block.on_record(*s, step);
-                        if let Some(idx) = block.maybe_index_frame(*bytes_written, table, false) {
-                            let _ = w.write_all(&idx);
-                            *bytes_written += idx.len() as u64;
-                        }
-                    }
-                    None => {
-                        let _ = w.write_all(line);
-                        let _ = w.write_all(b"\n");
-                        *bytes_written += line.len() as u64 + 1;
-                    }
-                },
-                Sink::Memory(lines) => {
-                    lines.push(String::from_utf8(line.clone()).expect("JSONL lines are UTF-8"));
-                }
-                Sink::Null => {}
-            }
-            *next_write = s + 1;
-            written += 1;
-        }
-        staged.drain(..written);
+        sink.write_staged(&self.names, false);
     }
 
     fn mirror_counter(&self, name: &str, delta: u64) {
@@ -325,48 +313,20 @@ impl Journal {
         Self { inner: None }
     }
 
-    /// A journal writing JSONL to `path` (truncating any existing file).
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the file cannot be created.
-    pub fn to_file(run_id: &str, path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Self::to_file_with_format(run_id, path, JournalFormat::Jsonl)
-    }
-
-    /// A journal writing to `path` in the given format (truncating any
-    /// existing file). Binary journals open with the magic bytes and
-    /// the registry-derived base dictionary; both formats then emit the
-    /// same `journal.meta` schema-version header.
+    /// A journal writing to `path` (truncating any existing file). The
+    /// file opens with the magic bytes, the registry-derived base
+    /// dictionary and a `journal.meta` schema-version event.
     ///
     /// # Errors
     ///
     /// Returns the I/O error if the file cannot be created or the
-    /// binary header cannot be written.
-    pub fn to_file_with_format(
-        run_id: &str,
-        path: impl AsRef<Path>,
-        format: JournalFormat,
-    ) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        let mut writer = BufWriter::new(file);
-        let (names, header_len) = match format {
-            JournalFormat::Jsonl => (None, 0),
-            JournalFormat::Binary => {
-                let base = codec::base_names();
-                let header = codec::header_bytes(&base);
-                writer.write_all(&header)?;
-                (Some(codec::NameTable::with_base(base)), header.len() as u64)
-            }
-        };
-        let j = Self::build(
-            run_id,
-            Sink::File(writer),
-            SinkKind::File,
-            format,
-            names,
-            header_len,
-        );
+    /// header cannot be written.
+    pub fn to_file(run_id: &str, path: impl AsRef<Path>) -> std::io::Result<Self> {
+        let mut writer = BufWriter::new(File::create(path)?);
+        let j = Self::with_sink(run_id, |header| {
+            writer.write_all(header)?;
+            Ok(Sink::File(writer))
+        })?;
         // Every file journal opens with a schema-version header, so a
         // reader on a different build can tell the corpus was written
         // under another registry instead of silently misparsing it.
@@ -374,61 +334,76 @@ impl Journal {
             "journal.meta",
             &[
                 ("schema_hash", Value::Str(schema::registry_hash_hex())),
-                (
-                    "format",
-                    Value::Int(match format {
-                        JournalFormat::Jsonl => 1,
-                        JournalFormat::Binary => 2,
-                    }),
-                ),
+                ("format", Value::Int(2)),
             ],
         );
         Ok(j)
     }
 
-    /// A journal buffering JSONL lines in memory (for tests and for
-    /// post-run inspection without touching the filesystem).
-    #[must_use]
-    pub fn in_memory(run_id: &str) -> Self {
-        Self::with_sink(run_id, Sink::Memory(Vec::new()), SinkKind::Memory)
+    /// [`Journal::to_file`]; `format` names the one encoding there is.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::to_file`].
+    pub fn to_file_with_format(
+        run_id: &str,
+        path: impl AsRef<Path>,
+        format: JournalFormat,
+    ) -> std::io::Result<Self> {
+        match format {
+            JournalFormat::Binary => Self::to_file(run_id, path),
+        }
     }
 
-    /// A journal that discards event lines but still drives counters,
+    /// A journal keeping the bytes a file journal would hold in memory
+    /// (for tests and for post-run inspection without touching the
+    /// filesystem); [`Journal::drain_lines`] renders them.
+    #[must_use]
+    pub fn in_memory(run_id: &str) -> Self {
+        Self::with_sink(run_id, |header| {
+            let mut dec = StreamDecoder::new();
+            dec.push(header);
+            Ok(Sink::Memory(dec))
+        })
+        .expect("a memory sink cannot fail")
+    }
+
+    /// A journal that discards events but still drives counters,
     /// histograms, spans, and any attached [`TelemetryRegistry`] — live
     /// telemetry with no file.
     #[must_use]
     pub fn telemetry_only(run_id: &str) -> Self {
-        Self::with_sink(run_id, Sink::Null, SinkKind::Null)
+        // Nothing is encoded, so the name table stays empty.
+        Self::build(run_id, Vec::new(), None)
     }
 
-    fn with_sink(run_id: &str, sink: Sink, kind: SinkKind) -> Self {
-        Self::build(run_id, sink, kind, JournalFormat::Jsonl, None, 0)
-    }
-
-    fn build(
+    /// A journal whose sink `open` builds after receiving the header
+    /// bytes to write first.
+    fn with_sink(
         run_id: &str,
-        sink: Sink,
-        kind: SinkKind,
-        format: JournalFormat,
-        names: Option<codec::NameTable>,
-        bytes_written: u64,
-    ) -> Self {
+        open: impl FnOnce(&[u8]) -> std::io::Result<Sink>,
+    ) -> std::io::Result<Self> {
+        let base = codec::base_names();
+        let header = codec::header_bytes(&base);
+        let sink = SinkState {
+            sink: open(&header)?,
+            staged: Vec::new(),
+            next_write: 0,
+            bytes_written: header.len() as u64,
+            block: codec::BlockTracker::default(),
+        };
+        Ok(Self::build(run_id, base, Some(sink)))
+    }
+
+    fn build(run_id: &str, base: Vec<String>, sink: Option<SinkState>) -> Self {
         Self {
             inner: Some(Arc::new(Inner {
                 run_id: run_id.to_owned(),
                 id: NEXT_JOURNAL_ID.fetch_add(1, Ordering::Relaxed),
-                kind,
-                format,
-                names,
+                names: codec::NameTable::with_base(base),
                 seq: AtomicU64::new(0),
                 next_span: AtomicU64::new(0),
-                sink: Mutex::new(SinkState {
-                    sink,
-                    staged: Vec::new(),
-                    next_write: 0,
-                    bytes_written,
-                    block: codec::BlockTracker::default(),
-                }),
+                sink: sink.map(Mutex::new),
                 buffers: Mutex::new(Vec::new()),
                 summarized: Mutex::new(false),
                 telemetry_on: AtomicBool::new(false),
@@ -471,17 +446,17 @@ impl Journal {
 
     /// Emits one event. `fields` becomes the payload object; field order
     /// is preserved. No-op when disabled. Lock-free against other
-    /// emitting threads: the seq ticket is atomic, serialization happens
-    /// outside any lock, and the line lands in this thread's buffer
-    /// (ordered into the sink at flush time).
+    /// emitting threads: the seq ticket is atomic, and the frame is
+    /// encoded into this thread's buffer (ordered into the sink at flush
+    /// time).
     pub fn emit(&self, step: &str, fields: &[(&str, Value)]) {
         let Some(inner) = self.inner.as_deref() else {
             return;
         };
         inner.mirror_counter("journal.events", 1);
         let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-        if inner.kind == SinkKind::Null {
-            return; // telemetry-only: seq advanced, line discarded unserialized
+        if inner.sink.is_none() {
+            return; // telemetry-only: seq advanced, event discarded unencoded
         }
         let payload = Value::Object(
             fields
@@ -496,26 +471,15 @@ impl Journal {
             payload,
         };
         let buf = inner.thread_buf();
-        let depth = match &inner.names {
-            // JSONL: serialize outside the lock, exactly as before.
-            None => {
-                let line = serde_json::to_string(&event).expect("events are serializable");
-                let mut st = buf.state.lock();
-                st.lines.push((seq, line.into_bytes(), String::new()));
-                st.lines.len()
-            }
-            // Binary: encode under this thread's (uncontended) buffer
-            // lock, because encoding updates the thread's inline-
-            // definition ledger. No JSON text is ever built.
-            Some(table) => {
-                let mut st = buf.state.lock();
-                let frame = codec::record_frame(table, &mut st.names, &event);
-                st.lines.push((seq, frame, event.step));
-                st.lines.len()
-            }
-        };
-        if depth >= AUTO_FLUSH_LINES {
-            inner.write_buffered(false);
+        // Encoding updates this thread's inline-definition ledger, so it
+        // runs under the thread's own (uncontended) buffer lock.
+        let mut st = buf.state.lock();
+        let frame = codec::record_frame(&inner.names, &mut st.names, &event);
+        st.frames.push((seq, frame, event.step));
+        let depth = st.frames.len();
+        drop(st);
+        if depth >= AUTO_FLUSH_FRAMES {
+            inner.write_buffered();
         }
     }
 
@@ -579,14 +543,16 @@ impl Journal {
     /// seq-contiguous prefix) to the sink, then flushes file sinks. Safe
     /// to call mid-run from any thread: events still in flight on other
     /// workers stay staged until their seq gap closes, so the sink never
-    /// observes an out-of-order line.
+    /// observes an out-of-order frame.
     pub fn flush(&self) {
         let Some(inner) = self.inner.as_deref() else {
             return;
         };
-        inner.write_buffered(false);
-        if let Sink::File(w) = &mut inner.sink.lock().sink {
-            let _ = w.flush();
+        inner.write_buffered();
+        if let Some(sink) = &inner.sink {
+            if let Sink::File(w) = &mut sink.lock().sink {
+                let _ = w.flush();
+            }
         }
     }
 
@@ -647,42 +613,43 @@ impl Journal {
         self.flush();
     }
 
-    /// Takes the buffered JSONL lines out of an in-memory journal
-    /// (after merging thread buffers into seq order). Empty for
-    /// disabled and file journals.
+    /// Takes the events written to an in-memory journal so far (after
+    /// merging thread buffers into seq order), each rendered as one JSONL
+    /// line. Empty for disabled, telemetry-only and file journals.
     #[must_use]
     pub fn drain_lines(&self) -> Vec<String> {
         let Some(inner) = self.inner.as_deref() else {
             return Vec::new();
         };
-        inner.write_buffered(false);
-        let mut sink = inner.sink.lock();
-        match &mut sink.sink {
-            Sink::Memory(lines) => std::mem::take(lines),
-            Sink::File(_) | Sink::Null => Vec::new(),
+        inner.write_buffered();
+        let mut events = Vec::new();
+        if let Some(sink) = &inner.sink {
+            if let Sink::Memory(dec) = &mut sink.lock().sink {
+                while let Some(event) = dec.next_event().expect("a journal decodes its own frames")
+                {
+                    events.push(event);
+                }
+            }
         }
+        events
+            .iter()
+            .map(|e| serde_json::to_string(e).expect("events are serializable"))
+            .collect()
     }
 
-    /// Loads a journal file (either format, sniffed by magic bytes)
-    /// back into events. Prefer [`EventStream`] for corpora that may
-    /// not fit in RAM — this collects everything.
+    /// Loads a journal file back into events. Prefer [`EventStream`] for
+    /// corpora that may not fit in RAM — this collects everything.
     ///
     /// # Errors
     ///
     /// Returns an I/O error for unreadable files, or `InvalidData` for
-    /// lines/frames that fail to decode as [`RunEvent`]s.
+    /// frames that fail to decode as [`RunEvent`]s.
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<JournalReader> {
         let mut events = Vec::new();
         for event in EventStream::open(path)? {
             events.push(event?);
         }
         Ok(JournalReader { events })
-    }
-
-    /// The on-disk format this journal writes, when enabled.
-    #[must_use]
-    pub fn format(&self) -> Option<JournalFormat> {
-        self.inner.as_deref().map(|i| i.format)
     }
 }
 
@@ -693,59 +660,30 @@ impl Drop for Inner {
         // flushed prefix monotonically (every staged seq exceeds
         // `next_write`), even if an interior ticket was lost to a panic
         // between claim and buffer.
-        if self.kind == SinkKind::Null {
+        let Some(sink) = self.sink.as_mut().map(Mutex::get_mut) else {
             return;
-        }
-        let mut staged = std::mem::take(&mut self.sink.get_mut().staged);
+        };
         for buf in self.buffers.get_mut().drain(..) {
-            staged.append(&mut buf.state.lock().lines);
+            sink.staged.append(&mut buf.state.lock().frames);
         }
-        staged.sort_unstable_by_key(|(s, _, _)| *s);
-        let SinkState {
-            sink,
-            bytes_written,
-            block,
-            ..
-        } = self.sink.get_mut();
-        for (s, line, step) in staged {
-            match sink {
-                Sink::File(w) => match &self.names {
-                    Some(table) => {
-                        let _ = w.write_all(&line);
-                        *bytes_written += line.len() as u64;
-                        block.on_record(s, &step);
-                        if let Some(idx) = block.maybe_index_frame(*bytes_written, table, false) {
-                            let _ = w.write_all(&idx);
-                            *bytes_written += idx.len() as u64;
-                        }
-                    }
-                    None => {
-                        let _ = w.write_all(&line);
-                        let _ = w.write_all(b"\n");
-                    }
-                },
-                Sink::Memory(lines) => {
-                    lines.push(String::from_utf8(line).expect("JSONL lines are UTF-8"));
-                }
-                Sink::Null => {}
-            }
+        sink.staged.sort_unstable_by_key(|(s, _, _)| *s);
+        sink.write_staged(&self.names, true);
+        // Close with one final index frame so the tail of the file is
+        // reachable without a full scan.
+        if let Some(idx) = sink
+            .block
+            .maybe_index_frame(sink.bytes_written, &self.names, true)
+        {
+            sink.write(&idx);
         }
-        if let Sink::File(w) = sink {
-            // Binary journals close with one final index frame so the
-            // tail of the file is reachable without a full scan.
-            if let Some(table) = &self.names {
-                if let Some(idx) = block.maybe_index_frame(*bytes_written, table, true) {
-                    let _ = w.write_all(&idx);
-                    *bytes_written += idx.len() as u64;
-                }
-            }
+        if let Sink::File(w) = &mut sink.sink {
             let _ = w.flush();
         }
     }
 }
 
-/// Parses JSONL text into events (the in-memory analogue of
-/// [`Journal::load`]).
+/// Parses JSONL text — a journal's rendering by
+/// [`Journal::drain_lines`] or `ifjournal convert` — into events.
 ///
 /// # Errors
 ///
@@ -851,7 +789,7 @@ mod tests {
     #[test]
     fn file_journal_loads_back() {
         let dir = std::env::temp_dir();
-        let path = dir.join(format!("ideaflow_trace_test_{}.jsonl", std::process::id()));
+        let path = dir.join(format!("ideaflow_trace_test_{}.ifj", std::process::id()));
         {
             let j = Journal::to_file("file-run", &path).unwrap();
             j.emit("step.one", &[("x", 1.5.into())]);
@@ -907,7 +845,7 @@ mod tests {
     fn mid_run_flush_keeps_the_file_monotone_and_complete() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!(
-            "ideaflow_trace_midflush_{}.jsonl",
+            "ideaflow_trace_midflush_{}.ifj",
             std::process::id()
         ));
         {

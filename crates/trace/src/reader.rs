@@ -1,5 +1,6 @@
-//! The reader/aggregator half of the journal: parse JSONL back into
-//! [`RunEvent`]s and summarize them per step.
+//! The reader/aggregator half of the journal: hold decoded
+//! [`RunEvent`]s (or events parsed from a JSONL rendering) and
+//! summarize them per step.
 
 use crate::analyze::SummaryBuilder;
 use crate::stats::{FieldStats, Histogram};
@@ -25,7 +26,8 @@ pub struct StepSummary {
 }
 
 impl JournalReader {
-    /// Parses JSONL text.
+    /// Parses a JSONL rendering ([`crate::Journal::drain_lines`],
+    /// `ifjournal convert`).
     ///
     /// # Errors
     ///
@@ -223,7 +225,7 @@ mod tests {
     #[test]
     fn schema_hash_round_trips_through_a_file_journal() {
         let dir = std::env::temp_dir();
-        let path = dir.join(format!("ideaflow_reader_meta_{}.jsonl", std::process::id()));
+        let path = dir.join(format!("ideaflow_reader_meta_{}.ifj", std::process::id()));
         {
             let j = Journal::to_file("meta", &path).unwrap();
             j.emit("flow.place", &[("hpwl_um", 1.0.into())]);

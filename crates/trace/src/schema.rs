@@ -12,9 +12,10 @@
 //! - **statically**: `ifcheck` (crate `ideaflow-check`) extracts every
 //!   emit/count/observe/time/span/gauge call-site literal in the
 //!   workspace and fails on names or field keys not declared here;
-//! - **at runtime**: [`lint_jsonl`] (the `ifjournal lint` subcommand)
-//!   validates a recorded journal line by line before it is trusted for
-//!   replay, warm-starts, or resume.
+//! - **at runtime**: `ifjournal lint` validates a recorded journal
+//!   event by event ([`lint_event`]; [`lint_jsonl`] over a JSONL
+//!   rendering) before it is trusted for replay, warm-starts, or
+//!   resume.
 //!
 //! The workflow is registry-first: to add a journal event, declare it
 //! here (name, fields, kinds), then write the emit site. `ifcheck`
@@ -902,25 +903,14 @@ pub fn registry_hash_hex() -> String {
 /// Cross-version check for a recorded journal: compares the
 /// `journal.meta` header (the first event of every file journal since
 /// schema versioning landed) against this build's [`registry_hash`].
+/// Pass the journal's first event, or `None` for an empty journal
+/// (which warns like a headerless one — there is no hash to check).
 /// Returns a human-readable warning when the corpus predates
 /// versioning or was written under a different registry — the journal
 /// still lints field by field, but field kinds and vocabularies may
 /// have drifted, so replay/warm-start consumers should be told.
 #[must_use]
-pub fn version_warning(text: &str) -> Option<String> {
-    let first = text.lines().find(|l| !l.trim().is_empty())?;
-    let Ok(event) = serde_json::from_str::<RunEvent>(first) else {
-        return None; // malformed lines are lint_jsonl's diagnostic, not ours
-    };
-    version_warning_for(Some(&event))
-}
-
-/// Event-based variant of [`version_warning`] for streaming readers
-/// that already decoded the first record (either format): pass the
-/// first event of the journal, or `None` for an empty journal (which
-/// warns like a headerless one — there is no hash to check).
-#[must_use]
-pub fn version_warning_for(first: Option<&RunEvent>) -> Option<String> {
+pub fn version_warning(first: Option<&RunEvent>) -> Option<String> {
     let Some(event) = first else {
         return Some(
             "no journal.meta header (journal predates schema versioning); \
@@ -950,7 +940,8 @@ pub fn version_warning_for(first: Option<&RunEvent>) -> Option<String> {
 /// One finding from validating a recorded journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaDiagnostic {
-    /// 1-based line number in the JSONL input.
+    /// 1-based line number in the JSONL input (`ifjournal lint`: the
+    /// record ordinal).
     pub line: usize,
     /// The event name the line carried (empty for parse failures).
     pub event: String,
@@ -1051,7 +1042,7 @@ fn kind_of(v: &Value) -> &'static str {
     }
 }
 
-/// Validates a recorded JSONL journal against the registry: every line
+/// Validates a journal's JSONL rendering against the registry: every line
 /// must parse as a [`RunEvent`] whose name, fields, and field kinds the
 /// registry declares. Returns line-numbered diagnostics; empty means
 /// the journal conforms and is safe to feed to `seed_from_journal`
@@ -1236,22 +1227,25 @@ mod tests {
         let j = Journal::in_memory("old");
         j.count("bandit.pulls", 1);
         j.finish();
-        let text = j.drain_lines().join("\n");
-        let warn = version_warning(&text).expect("headerless journal warns");
+        let events = crate::parse_jsonl(&j.drain_lines().join("\n")).unwrap();
+        let warn = version_warning(events.first()).expect("headerless journal warns");
         assert!(warn.contains("no journal.meta header"), "{warn}");
+        assert_eq!(version_warning(None), Some(warn));
 
         // A matching header is silent.
         let good = format!(
             "{{\"run_id\":\"v\",\"step\":\"journal.meta\",\"seq\":0,\
-             \"payload\":{{\"schema_hash\":\"{}\",\"format\":1}}}}",
+             \"payload\":{{\"schema_hash\":\"{}\",\"format\":2}}}}",
             registry_hash_hex()
         );
-        assert_eq!(version_warning(&good), None);
+        let meta: RunEvent = serde_json::from_str(&good).unwrap();
+        assert_eq!(version_warning(Some(&meta)), None);
         assert!(lint_jsonl(&good).is_empty(), "{:?}", lint_jsonl(&good));
 
         // A stale hash is a cross-version warning naming both hashes.
         let stale = good.replace(&registry_hash_hex(), "00000000deadbeef");
-        let warn = version_warning(&stale).expect("stale hash warns");
+        let stale: RunEvent = serde_json::from_str(&stale).unwrap();
+        let warn = version_warning(Some(&stale)).expect("stale hash warns");
         assert!(warn.contains("00000000deadbeef"), "{warn}");
         assert!(warn.contains(&registry_hash_hex()), "{warn}");
     }

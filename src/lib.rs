@@ -12,9 +12,10 @@
 //! - [`timing`]: dual-engine STA and ML analysis correlation (Fig 8).
 //! - [`flow`]: the noisy SP&R flow and its option tree (Figs 3, 5).
 //! - [`metrics`]: a METRICS 2.0 collection/mining system (Fig 11).
-//! - [`trace`]: the run journal — structured JSONL events, counters,
-//!   histograms, timers with a no-op default (the §4 "collect
-//!   everything" layer every subsystem emits into).
+//! - [`trace`]: the run journal — binary-framed events (rendered as
+//!   JSONL on demand), counters, histograms, timers with a no-op
+//!   default (the §4 "collect everything" layer every subsystem emits
+//!   into).
 //! - [`exec`]: the std-only work-stealing executor behind every
 //!   parallel orchestration loop — `IDEAFLOW_THREADS` sizes it, and
 //!   results stay bit-identical at any thread count.

@@ -110,12 +110,7 @@ fn killed_campaign_resumes_from_a_binary_journal_file() {
     let dir = std::env::temp_dir().join(format!("ideaflow_chaos_binary_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("killed.ifj");
-    let journal = Journal::to_file_with_format(
-        "chaos-killed",
-        &path,
-        ideaflow::trace::JournalFormat::Binary,
-    )
-    .expect("open binary journal");
+    let journal = Journal::to_file("chaos-killed", &path).expect("open binary journal");
     let killed = run_chaos_gwtw(&cfg, 1, QorCache::new(), &journal);
     assert!(killed.runs_spent > 0, "the killed campaign must do work");
     journal.finish();

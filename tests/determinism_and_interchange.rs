@@ -73,25 +73,26 @@ fn bookshelf_roundtrip_preserves_wirelength() {
 #[test]
 fn metrics_survive_jsonl_and_binary_journals() {
     let dir = std::env::temp_dir();
-    for (format, ext) in [
-        (ideaflow::trace::JournalFormat::Jsonl, "jsonl"),
-        (ideaflow::trace::JournalFormat::Binary, "ifj"),
-    ] {
-        let path = dir.join(format!("metrics_interchange_{}.{ext}", std::process::id()));
-        let journal =
-            ideaflow::trace::Journal::to_file_with_format("metrics", &path, format).unwrap();
-        let flow = SpnrFlow::new(DesignSpec::new(DesignClass::Cpu, 200).unwrap(), 9)
-            .with_journal(journal.clone());
-        let opts = SpnrOptions::with_target_ghz(flow.fmax_ref_ghz() * 0.7).unwrap();
-        let logged: Vec<_> = (0..4).flat_map(|s| flow.run_logged(&opts, s).1).collect();
-        drop(flow);
-        journal.finish();
-        drop(journal);
-        let reader = ideaflow::trace::Journal::load(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        let mined = corpus::from_events(&reader.events);
+    let path = dir.join(format!("metrics_interchange_{}.ifj", std::process::id()));
+    let rendered = dir.join(format!("metrics_interchange_{}.jsonl", std::process::id()));
+    let journal = ideaflow::trace::Journal::to_file("metrics", &path).unwrap();
+    let flow = SpnrFlow::new(DesignSpec::new(DesignClass::Cpu, 200).unwrap(), 9)
+        .with_journal(journal.clone());
+    let opts = SpnrOptions::with_target_ghz(flow.fmax_ref_ghz() * 0.7).unwrap();
+    let logged: Vec<_> = (0..4).flat_map(|s| flow.run_logged(&opts, s).1).collect();
+    drop(flow);
+    journal.finish();
+    drop(journal);
+    // The binary journal, and its JSONL rendering parsed back.
+    let decoded = ideaflow::trace::Journal::load(&path).unwrap().events;
+    ideaflow::trace::codec::convert(&path, &rendered).unwrap();
+    let text = std::fs::read_to_string(&rendered).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_file(&rendered).unwrap();
+    for events in [decoded, ideaflow::trace::parse_jsonl(&text).unwrap()] {
+        let mined = corpus::from_events(&events);
         // Everything the flow emits conforms to the vocabulary, and the
-        // journal file hands every record back unchanged.
+        // journal hands every record back unchanged.
         assert!(ideaflow::metrics::vocabulary::validate(&mined).is_empty());
         assert_eq!(mined, logged);
         assert_eq!(mined.len(), 4 * 6);

@@ -1,14 +1,14 @@
-//! Workspace-level tests of the dual-format journal codec: a journal
-//! written through the public API decodes to the same record sequence
-//! in both formats at any thread count, `convert` is lossless in both
-//! directions, torn binary tails recover the valid prefix with a typed
-//! error, and a half-written tail reads as "not yet" rather than
-//! malformed (the `watch` retry contract).
+//! Workspace-level tests of the journal codec and its JSONL rendering:
+//! file and in-memory journals written through the public API hold the
+//! same record sequence at any thread count, the rendering parses back
+//! to exactly the decoded events, torn tails recover the valid prefix
+//! with a typed error, and a half-written frame reads as "not yet"
+//! rather than malformed (the `watch` retry contract).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ideaflow::trace::codec;
-use ideaflow::trace::{DecodeError, EventStream, Journal, JournalFormat, PayloadValue, RunEvent};
+use ideaflow::trace::{parse_jsonl, DecodeError, EventStream, Journal, PayloadValue, RunEvent};
 use ideaflow::trace::{JournalReader, StreamDecoder};
 use proptest::prelude::*;
 
@@ -31,10 +31,8 @@ fn decode(path: &std::path::Path) -> Vec<RunEvent> {
         .collect()
 }
 
-/// `(run_id, step, seq, payload-fields)` with the `journal.meta`
-/// `format` tag removed — the one field that legitimately differs
-/// between a JSONL-born and a binary-born journal. The ops below never
-/// emit wall-clock fields, so nothing else needs masking.
+/// `(run_id, step, seq, payload-fields)`: an orderable view of an event.
+/// The ops below never emit wall-clock fields, so nothing needs masking.
 type StrippedEvent = (String, String, u64, Vec<(String, String)>);
 
 fn stripped(events: &[RunEvent]) -> Vec<StrippedEvent> {
@@ -46,7 +44,6 @@ fn stripped(events: &[RunEvent]) -> Vec<StrippedEvent> {
                 .as_object()
                 .map(|obj| {
                     obj.iter()
-                        .filter(|(k, _)| !(e.step == "journal.meta" && *k == "format"))
                         .map(|(k, v)| (k.clone(), format!("{v:?}")))
                         .collect()
                 })
@@ -54,6 +51,16 @@ fn stripped(events: &[RunEvent]) -> Vec<StrippedEvent> {
             (e.run_id.clone(), e.step.clone(), e.seq, fields)
         })
         .collect()
+}
+
+/// Renders `path` through `ifjournal convert`'s code path and parses
+/// the JSONL back.
+fn rendered(path: &std::path::Path) -> Vec<RunEvent> {
+    let out = path.with_extension("jsonl");
+    let count = codec::convert(path, &out).unwrap();
+    let events = parse_jsonl(&std::fs::read_to_string(&out).unwrap()).unwrap();
+    assert_eq!(count as usize, events.len());
+    events
 }
 
 /// The exact (order-independent) aggregates of the `journal.summary`
@@ -90,14 +97,14 @@ fn summary_exact(events: &[RunEvent]) -> Vec<(String, String)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The binary codec is an encoding of the same journal, not a
-    /// different journal. Sequentially, a JSONL-born and a binary-born
-    /// file decode to identical events (modulo the header's format
-    /// tag), and the binary encoder is deterministic byte for byte. On
-    /// 2/4-thread pools the binary journal keeps the same invariants
-    /// the JSONL sink guarantees — dense monotone `seq`, the baseline's
-    /// event multiset, exact summary aggregates — and `convert` round-
-    /// trips it losslessly through JSONL and back.
+    /// A journal is one encoding with one rendering. Sequentially, an
+    /// in-memory journal renders (through `drain_lines`) exactly the
+    /// events a file journal decodes to after its `journal.meta`
+    /// header, and the encoder is deterministic byte for byte. On
+    /// 2/4-thread pools the file journal keeps the sequential
+    /// invariants — dense monotone `seq`, the baseline's event multiset,
+    /// exact summary aggregates — and its `convert` rendering parses
+    /// back to exactly the decoded events.
     #[test]
     fn both_formats_decode_identically_at_any_thread_count(
         tasks in proptest::collection::vec(proptest::collection::vec(0usize..3, 1..6), 1..8),
@@ -113,33 +120,40 @@ proptest! {
                 }
             }
         };
-        let write = |path: &std::path::Path, format: JournalFormat, threads: Option<usize>| {
-            let journal = Journal::to_file_with_format("codec", path, format).unwrap();
+        let run = |journal: &Journal, threads: Option<usize>| {
             match threads {
                 None => {
                     for (i, ops) in tasks.iter().enumerate() {
-                        run_ops(&journal, i, ops);
+                        run_ops(journal, i, ops);
                     }
                 }
                 Some(n) => {
                     let pool = ideaflow::exec::PoolBuilder::new().threads(n).build();
-                    pool.par_map(tasks.clone(), |i, ops| run_ops(&journal, i, &ops));
+                    pool.par_map(tasks.clone(), |i, ops| run_ops(journal, i, &ops));
                 }
             }
             journal.finish();
         };
+        let write = |path: &std::path::Path, threads: Option<usize>| {
+            run(&Journal::to_file("codec", path).unwrap(), threads);
+        };
 
-        // Sequential: same events, same payloads, same seq assignment.
-        let jsonl = dir.join("seq.jsonl");
+        // Sequential: the memory sink holds the file's events, one seq
+        // behind the file's header.
         let binary = dir.join("seq.ifj");
-        write(&jsonl, JournalFormat::Jsonl, None);
-        write(&binary, JournalFormat::Binary, None);
-        let baseline = decode(&jsonl);
-        prop_assert_eq!(stripped(&baseline), stripped(&decode(&binary)));
+        write(&binary, None);
+        let baseline = decode(&binary);
+        prop_assert_eq!(baseline[0].step.as_str(), "journal.meta");
+        let memory = Journal::in_memory("codec");
+        run(&memory, None);
+        let mut from_memory = parse_jsonl(&memory.drain_lines().join("\n")).unwrap();
+        from_memory.iter_mut().for_each(|e| e.seq += 1);
+        prop_assert_eq!(stripped(&baseline[1..]), stripped(&from_memory));
+        prop_assert_eq!(rendered(&binary), baseline.clone());
 
         // Deterministic encoder: a rerun of the same ops is the same file.
         let binary2 = dir.join("seq2.ifj");
-        write(&binary2, JournalFormat::Binary, None);
+        write(&binary2, None);
         prop_assert_eq!(
             std::fs::read(&binary).unwrap(),
             std::fs::read(&binary2).unwrap()
@@ -156,7 +170,7 @@ proptest! {
         base_set.sort();
         for threads in [2usize, 4] {
             let par = dir.join(format!("par{threads}.ifj"));
-            write(&par, JournalFormat::Binary, Some(threads));
+            write(&par, Some(threads));
             let events = decode(&par);
             // Dense strictly-monotone seq in frame order.
             for (pos, e) in events.iter().enumerate() {
@@ -173,26 +187,14 @@ proptest! {
                 "{} threads: summary aggregates",
                 threads
             );
-
-            // convert is lossless in both directions: binary -> JSONL
-            // -> binary, decoded streams identical at every hop.
-            let as_jsonl = dir.join(format!("par{threads}.conv.jsonl"));
-            let back = dir.join(format!("par{threads}.conv.ifj"));
-            let (n_out, from) = codec::convert(&par, &as_jsonl, JournalFormat::Jsonl).unwrap();
-            prop_assert_eq!(from, JournalFormat::Binary);
-            prop_assert_eq!(n_out as usize, events.len());
-            let (n_back, from) = codec::convert(&as_jsonl, &back, JournalFormat::Binary).unwrap();
-            prop_assert_eq!(from, JournalFormat::Jsonl);
-            prop_assert_eq!(n_back as usize, events.len());
-            prop_assert_eq!(stripped(&decode(&as_jsonl)), stripped(&events));
-            prop_assert_eq!(stripped(&decode(&back)), stripped(&events));
+            prop_assert_eq!(rendered(&par), events, "{} threads: rendering", threads);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
 fn write_small_binary(path: &std::path::Path) -> Vec<RunEvent> {
-    let journal = Journal::to_file_with_format("torn", path, JournalFormat::Binary).unwrap();
+    let journal = Journal::to_file("torn", path).unwrap();
     for i in 0..50 {
         journal.emit(
             "prop.event",
@@ -283,32 +285,6 @@ fn corrupt_binary_frame_surfaces_a_typed_error() {
 }
 
 #[test]
-fn partial_jsonl_tail_is_incomplete_not_malformed() {
-    // The `watch` retry contract: a half-written line reads as
-    // "nothing yet"; once the writer finishes the line it decodes.
-    let line = br#"{"run_id":"w","step":"prop.event","seq":0,"payload":{"v":1.5}}"#;
-    let mut dec = StreamDecoder::new();
-    dec.push(&line[..20]);
-    assert!(
-        matches!(dec.next_event(), Ok(None)),
-        "half a line is pending"
-    );
-    dec.push(&line[20..]);
-    assert!(
-        matches!(dec.next_event(), Ok(None)),
-        "an unterminated line is still pending"
-    );
-    dec.push(b"\n");
-    let event = dec.next_event().unwrap().expect("completed line decodes");
-    assert_eq!(event.step, "prop.event");
-    assert_eq!(event.seq, 0);
-    assert!(
-        matches!(dec.finish(), Ok(None)),
-        "no residue after the newline"
-    );
-}
-
-#[test]
 fn partial_binary_frame_is_incomplete_not_malformed() {
     let dir = scratch_dir();
     let path = dir.join("partial.ifj");
@@ -344,7 +320,7 @@ fn partial_binary_frame_is_incomplete_not_malformed() {
     dec.push(&bytes[cut..]);
     drain(&mut dec, &mut events);
     assert_eq!(stripped(&events), stripped(&full));
-    assert!(matches!(dec.finish(), Ok(None)), "no residue at clean EOF");
+    assert_eq!(dec.finish(), Ok(()), "no residue at clean EOF");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -352,11 +328,11 @@ fn partial_binary_frame_is_incomplete_not_malformed() {
 fn streaming_seeds_match_the_collecting_readers() {
     // The streaming seeders (`seed_event`, `seed_from_events`) must
     // absorb exactly what the reader-based `seed_from_journal` paths
-    // absorb, over either format.
+    // absorb.
     let dir = scratch_dir();
-    for format in [JournalFormat::Jsonl, JournalFormat::Binary] {
-        let path = dir.join(format!("seed.{}", format.name()));
-        let journal = Journal::to_file_with_format("seed", &path, format).unwrap();
+    {
+        let path = dir.join("seed.ifj");
+        let journal = Journal::to_file("seed", &path).unwrap();
         for i in 0..20i64 {
             journal.emit(
                 "flow.sample",
@@ -392,32 +368,35 @@ fn streaming_seeds_match_the_collecting_readers() {
         assert_eq!(
             streamed,
             loaded_cache.seed_from_journal(&reader),
-            "{} cache seed count",
-            format.name()
+            "cache seed count"
         );
-        assert_eq!(streamed, 20, "{} every flow.sample absorbed", format.name());
+        assert_eq!(streamed, 20, "every flow.sample absorbed");
 
         let mut streamed_policy =
             ideaflow::bandit::policy::ThompsonGaussian::new(4, 1.0, 0.5).unwrap();
         let pulls = streamed_policy.seed_from_events(reader.events.iter());
-        assert_eq!(pulls, 20, "{} every bandit.pull absorbed", format.name());
+        assert_eq!(pulls, 20, "every bandit.pull absorbed");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The binary journal through `load` and `EventStream`, and its JSONL
+/// rendering through `JournalReader::from_jsonl`, hold the same events.
 #[test]
 fn load_and_stream_agree_on_both_formats() {
     let dir = scratch_dir();
-    for format in [JournalFormat::Jsonl, JournalFormat::Binary] {
-        let path = dir.join(format!("agree.{}", format.name()));
-        let journal = Journal::to_file_with_format("agree", &path, format).unwrap();
-        journal.emit("prop.event", &[("v", PayloadValue::Float(2.25))]);
-        journal.count("prop.counter", 3);
-        journal.finish();
-        let streamed = decode(&path);
-        let loaded: JournalReader = Journal::load(&path).unwrap();
-        assert_eq!(stripped(&streamed), stripped(&loaded.events));
-        assert!(loaded.seq_strictly_increasing_per_run());
-    }
+    let path = dir.join("agree.ifj");
+    let journal = Journal::to_file("agree", &path).unwrap();
+    journal.emit("prop.event", &[("v", PayloadValue::Float(2.25))]);
+    journal.count("prop.counter", 3);
+    journal.finish();
+    let streamed = decode(&path);
+    let loaded: JournalReader = Journal::load(&path).unwrap();
+    assert_eq!(streamed, loaded.events);
+    assert!(loaded.seq_strictly_increasing_per_run());
+    let rendering = path.with_extension("jsonl");
+    codec::convert(&path, &rendering).unwrap();
+    let text = std::fs::read_to_string(&rendering).unwrap();
+    assert_eq!(JournalReader::from_jsonl(&text).unwrap(), loaded);
     let _ = std::fs::remove_dir_all(&dir);
 }
