@@ -11,7 +11,7 @@
 //! ε-greedy — the claim the Fig 7 harness and the robustness ablation
 //! reproduce.
 //!
-//! - [`policy`]: Thompson (Gaussian), ε-greedy, softmax (Boltzmann), UCB1.
+//! - [`policy`]: Thompson (Gaussian), ε-greedy, softmax (Boltzmann).
 //! - [`sim`]: pull-loop and budgeted concurrent-batch harnesses with
 //!   regret accounting (footnote 3's regret formulation).
 

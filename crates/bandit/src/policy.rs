@@ -1,4 +1,4 @@
-//! Bandit policies: Thompson (Gaussian), ε-greedy, softmax, UCB1.
+//! Bandit policies: Thompson (Gaussian), ε-greedy, softmax.
 
 use crate::BanditError;
 use rand::rngs::StdRng;
@@ -390,80 +390,6 @@ impl BanditPolicy for Softmax {
     }
 }
 
-/// UCB1 (upper confidence bound) with a tunable exploration constant.
-#[derive(Debug, Clone)]
-pub struct Ucb1 {
-    stats: Vec<ArmStats>,
-    c: f64,
-    total_pulls: u64,
-}
-
-impl Ucb1 {
-    /// Creates the policy (`c` ≈ reward scale; classic UCB1 uses √2 × scale).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::InvalidParameter`] unless `c > 0` and
-    /// `arms > 0`.
-    pub fn new(arms: usize, c: f64) -> Result<Self, BanditError> {
-        if arms == 0 {
-            return Err(BanditError::InvalidParameter {
-                name: "arms",
-                detail: "need at least one arm".into(),
-            });
-        }
-        if c <= 0.0 {
-            return Err(BanditError::InvalidParameter {
-                name: "c",
-                detail: format!("must be positive, got {c}"),
-            });
-        }
-        Ok(Self {
-            stats: vec![ArmStats::default(); arms],
-            c,
-            total_pulls: 0,
-        })
-    }
-}
-
-impl BanditPolicy for Ucb1 {
-    fn select(&mut self, _rng: &mut StdRng) -> usize {
-        if let Some(i) = self.stats.iter().position(|s| s.n == 0) {
-            return i;
-        }
-        let ln_t = (self.total_pulls.max(1) as f64).ln();
-        self.stats
-            .iter()
-            .enumerate()
-            .max_by(|a, b| {
-                let ua = a.1.mean + self.c * (2.0 * ln_t / a.1.n as f64).sqrt();
-                let ub = b.1.mean + self.c * (2.0 * ln_t / b.1.n as f64).sqrt();
-                // total_cmp for the same reason as EpsilonGreedy: NaN
-                // rewards must degrade selection, not panic it.
-                f64::total_cmp(&ua, &ub)
-            })
-            .map(|(i, _)| i)
-            .expect("non-empty arms")
-    }
-
-    fn update(&mut self, arm: usize, reward: f64) {
-        self.total_pulls += 1;
-        self.stats[arm].push(reward);
-    }
-
-    fn arm_count(&self) -> usize {
-        self.stats.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "ucb1"
-    }
-
-    fn posterior_means(&self) -> Vec<f64> {
-        empirical_means(&self.stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,13 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn ucb_converges() {
-        let mut p = Ucb1::new(5, 0.5).unwrap();
-        let hits = exercise(&mut p, 0, 400);
-        assert!(hits > 220, "ucb picked best arm {hits}/400");
-    }
-
-    #[test]
     fn all_policies_try_every_arm_early() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut p = EpsilonGreedy::new(4, 0.0).unwrap();
@@ -532,30 +451,26 @@ mod tests {
         assert!(ThompsonGaussian::new(2, 0.0, 1.0).is_err());
         assert!(EpsilonGreedy::new(2, 1.5).is_err());
         assert!(Softmax::new(2, 0.0).is_err());
-        assert!(Ucb1::new(2, 0.0).is_err());
     }
 
     #[test]
     fn nan_rewards_cannot_panic_selection() {
-        // Regression: exploit/UCB argmax used partial_cmp().expect(),
+        // Regression: the exploit argmax used partial_cmp().expect(),
         // which panicked the moment any arm mean went NaN. A NaN reward
         // stream must degrade selection, never abort the run.
         let mut rng = StdRng::seed_from_u64(7);
-        let mut greedy = EpsilonGreedy::new(3, 0.0).unwrap();
-        let mut ucb = Ucb1::new(3, 0.5).unwrap();
-        for policy in [&mut greedy as &mut dyn BanditPolicy, &mut ucb] {
-            // Seed every arm, poisoning one with NaN.
-            for arm in 0..3 {
-                let a = policy.select(&mut rng);
-                assert!(a < 3);
-                policy.update(a, if arm == 1 { f64::NAN } else { 0.5 });
-            }
-            // Selection after poisoning must still return a valid arm.
-            for _ in 0..20 {
-                let a = policy.select(&mut rng);
-                assert!(a < 3);
-                policy.update(a, f64::NAN);
-            }
+        let mut policy = EpsilonGreedy::new(3, 0.0).unwrap();
+        // Seed every arm, poisoning one with NaN.
+        for arm in 0..3 {
+            let a = policy.select(&mut rng);
+            assert!(a < 3);
+            policy.update(a, if arm == 1 { f64::NAN } else { 0.5 });
+        }
+        // Selection after poisoning must still return a valid arm.
+        for _ in 0..20 {
+            let a = policy.select(&mut rng);
+            assert!(a < 3);
+            policy.update(a, f64::NAN);
         }
     }
 

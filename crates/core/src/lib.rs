@@ -10,20 +10,19 @@
 //! 2. **Orchestration of search** — [`mab_env`] (bandit arms over tool
 //!    runs, Fig 7) and [`orchestrate`] (Go-With-The-Winners over the flow
 //!    option tree, Fig 6).
-//! 3. **Pruning via predictors** — [`predictor`]: learned flow-outcome
-//!    models that skip or early-terminate doomed trajectories (with the
-//!    `ideaflow-mdp` strategy card as the in-run terminator).
+//! 3. **Pruning via predictors** — [`predictor`]: a learned flow-outcome
+//!    model that skips doomed trajectories, and [`watchdog`], which
+//!    early-terminates them in flight with the `ideaflow-mdp` strategy
+//!    card.
 //! 4. **Toward intelligence** — [`stages`] compares the stages end-to-end
-//!    under one budget; [`singlepass`] uses prediction + guardbanding to
-//!    approach the "long-held dream of single-pass design"; and
-//!    [`coevolution`] quantifies the Fig 4 "flip the arrows" story.
+//!    under one budget, and [`coevolution`] quantifies the Fig 4 "flip
+//!    the arrows" story.
 
 pub mod coevolution;
 pub mod mab_env;
 pub mod orchestrate;
 pub mod predictor;
 pub mod robot;
-pub mod singlepass;
 pub mod stages;
 pub mod watchdog;
 

@@ -1,19 +1,14 @@
-//! Stage 3 — learned flow-outcome predictors.
+//! Stage 3 — a learned flow-outcome predictor.
 //!
 //! §3.3: one-pass design "requires accurate modeling and prediction of
-//! downstream flow steps and outcomes". Two models:
-//!
-//! - [`OutcomePredictor`]: P(run meets timing) and expected area for a
-//!   (design, option vector) pair, trained on logged runs and usable on
-//!   *unseen designs* via structural features (§3.3(i)).
-//! - [`FmaxPredictor`]: the design's achievable frequency from structure
-//!   alone — the "prediction from netlist and floorplan information
-//!   through placement, routing, optimization and timing" span.
+//! downstream flow steps and outcomes". [`OutcomePredictor`] gives
+//! P(run meets timing) for a (design, option vector) pair, trained on
+//! logged runs and usable on *unseen designs* via structural features
+//! (§3.3(i)).
 
 use crate::CoreError;
 use ideaflow_flow::options::SpnrOptions;
 use ideaflow_flow::spnr::SpnrFlow;
-use ideaflow_mlkit::linreg::RidgeRegression;
 use ideaflow_mlkit::logreg::{LogisticConfig, LogisticRegression};
 use ideaflow_mlkit::scale::StandardScaler;
 use ideaflow_netlist::stats::{structural_features, StructuralFeatures};
@@ -38,7 +33,6 @@ pub const FEATURE_WIDTH: usize = StructuralFeatures::WIDTH + 6;
 pub struct RunCorpus {
     xs: Vec<Vec<f64>>,
     success: Vec<bool>,
-    area: Vec<f64>,
 }
 
 impl RunCorpus {
@@ -78,7 +72,6 @@ impl RunCorpus {
                 let q = flow.run(&opts, (i as u32) * 1_000 + s);
                 self.xs.push(feature_row(&feats, &opts));
                 self.success.push(q.meets_timing());
-                self.area.push(q.area_um2);
             }
         }
         Ok(())
@@ -97,12 +90,11 @@ impl RunCorpus {
     }
 }
 
-/// The trained (success, area) predictor.
+/// The trained timing-success predictor.
 #[derive(Debug, Clone)]
 pub struct OutcomePredictor {
     scaler: StandardScaler,
     success: LogisticRegression,
-    area: RidgeRegression,
 }
 
 impl OutcomePredictor {
@@ -110,7 +102,7 @@ impl OutcomePredictor {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Subsystem`] if either model cannot be fitted
+    /// Returns [`CoreError::Subsystem`] if the model cannot be fitted
     /// (e.g. single-class success labels).
     pub fn train(corpus: &RunCorpus) -> Result<Self, CoreError> {
         let scaler = StandardScaler::fit(&corpus.xs).map_err(|e| CoreError::Subsystem {
@@ -121,15 +113,7 @@ impl OutcomePredictor {
             .map_err(|e| CoreError::Subsystem {
                 detail: e.to_string(),
             })?;
-        let area =
-            RidgeRegression::fit(&xs, &corpus.area, 1e-4).map_err(|e| CoreError::Subsystem {
-                detail: e.to_string(),
-            })?;
-        Ok(Self {
-            scaler,
-            success,
-            area,
-        })
+        Ok(Self { scaler, success })
     }
 
     /// Predicted probability that a run of (`design`, `opts`) meets timing.
@@ -137,83 +121,6 @@ impl OutcomePredictor {
     pub fn success_probability(&self, design: &StructuralFeatures, opts: &SpnrOptions) -> f64 {
         let row = self.scaler.transform_row(&feature_row(design, opts));
         self.success.predict_proba(&row)
-    }
-
-    /// Predicted post-route area, um².
-    #[must_use]
-    pub fn predicted_area_um2(&self, design: &StructuralFeatures, opts: &SpnrOptions) -> f64 {
-        let row = self.scaler.transform_row(&feature_row(design, opts));
-        self.area.predict(&row)
-    }
-}
-
-/// Predicts a design's achievable frequency from structure alone.
-///
-/// Internally predicts the minimum clock *period* (which is nearly linear
-/// in logic depth and fanout) rather than frequency, which keeps the model
-/// well-behaved under extrapolation to unseen designs.
-#[derive(Debug, Clone)]
-pub struct FmaxPredictor {
-    model: RidgeRegression,
-}
-
-/// Period-model features: depth dominates; size and fanout load matter
-/// second-order.
-fn period_features(feats: &StructuralFeatures) -> Vec<f64> {
-    vec![
-        feats.max_depth as f64,
-        feats.mean_fanout,
-        (feats.instances as f64).ln(),
-    ]
-}
-
-impl FmaxPredictor {
-    /// Trains on `(structural features, calibrated fmax)` pairs from the
-    /// given flows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature extraction or fit failure, or if
-    /// fewer than 3 flows are given.
-    pub fn train(flows: &[&SpnrFlow], seed: u64) -> Result<Self, CoreError> {
-        if flows.len() < 3 {
-            return Err(CoreError::InvalidParameter {
-                name: "flows",
-                detail: format!("need at least 3 training designs, got {}", flows.len()),
-            });
-        }
-        let mut xs = Vec::with_capacity(flows.len());
-        let mut ys = Vec::with_capacity(flows.len());
-        for f in flows {
-            let feats =
-                structural_features(f.netlist(), seed).map_err(|e| CoreError::Subsystem {
-                    detail: e.to_string(),
-                })?;
-            xs.push(period_features(&feats));
-            ys.push(1_000.0 / f.fmax_ref_ghz()); // minimum period, ps
-        }
-        let model = RidgeRegression::fit(&xs, &ys, 1e-2).map_err(|e| CoreError::Subsystem {
-            detail: e.to_string(),
-        })?;
-        Ok(Self { model })
-    }
-
-    /// Predicted achievable frequency for a design (GHz), floored at a
-    /// small positive value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Subsystem`] on feature extraction failure.
-    pub fn predict_ghz(
-        &self,
-        netlist: &ideaflow_netlist::graph::Netlist,
-        seed: u64,
-    ) -> Result<f64, CoreError> {
-        let feats = structural_features(netlist, seed).map_err(|e| CoreError::Subsystem {
-            detail: e.to_string(),
-        })?;
-        let period = self.model.predict(&period_features(&feats)).max(50.0);
-        Ok((1_000.0 / period).max(0.02))
     }
 }
 
@@ -275,47 +182,6 @@ mod tests {
         }
         let acc = f64::from(correct) / f64::from(total);
         assert!(acc > 0.7, "transfer accuracy {acc}");
-    }
-
-    #[test]
-    fn area_prediction_tracks_pressure() {
-        let f = flow(7, 300);
-        let p = trained_predictor(&[&f]);
-        let feats = structural_features(f.netlist(), 0).unwrap();
-        let fmax = f.fmax_ref_ghz();
-        let easy = SpnrOptions::with_target_ghz(fmax * 0.5).unwrap();
-        let hard = SpnrOptions::with_target_ghz(fmax * 0.97).unwrap();
-        assert!(
-            p.predicted_area_um2(&feats, &hard) > p.predicted_area_um2(&feats, &easy),
-            "area prediction must grow with timing pressure"
-        );
-    }
-
-    #[test]
-    fn fmax_predictor_ranks_designs() {
-        // Train on designs of different sizes (deeper ⇒ slower).
-        let flows: Vec<SpnrFlow> = vec![
-            flow(11, 150),
-            flow(12, 300),
-            flow(13, 600),
-            flow(14, 200),
-            flow(15, 450),
-        ];
-        let refs: Vec<&SpnrFlow> = flows.iter().collect();
-        let p = FmaxPredictor::train(&refs, 3).unwrap();
-        let test = flow(400, 350);
-        let pred = p.predict_ghz(test.netlist(), 3).unwrap();
-        let actual = test.fmax_ref_ghz();
-        assert!(
-            (pred - actual).abs() / actual < 0.6,
-            "predicted {pred} vs actual {actual}"
-        );
-    }
-
-    #[test]
-    fn training_requires_enough_designs() {
-        let f = flow(1, 200);
-        assert!(FmaxPredictor::train(&[&f], 0).is_err());
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 pub mod capability;
 pub mod cost;
-pub mod ramp;
 
 use std::error::Error;
 use std::fmt;

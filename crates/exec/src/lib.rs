@@ -440,12 +440,6 @@ impl ThreadPool {
         self.inner.threads
     }
 
-    /// Number of workers currently executing a task.
-    #[must_use]
-    pub fn busy_workers(&self) -> usize {
-        self.inner.busy.load(Ordering::Relaxed)
-    }
-
     /// Tasks pushed but not yet picked up.
     #[must_use]
     pub fn queue_depth(&self) -> usize {

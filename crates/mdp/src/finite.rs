@@ -100,12 +100,6 @@ impl FiniteMdp {
         self.n_states
     }
 
-    /// Action count.
-    #[must_use]
-    pub fn action_count(&self) -> usize {
-        self.n_actions
-    }
-
     /// Q-value of `(s, a)` under values `v` with discount `gamma`.
     fn q(&self, s: usize, a: usize, v: &[f64], gamma: f64) -> f64 {
         self.rewards[s][a]

@@ -1,5 +1,5 @@
-//! Discrete hidden Markov models (Rabiner \[36\]): forward/backward,
-//! Viterbi, and Baum–Welch re-estimation.
+//! Discrete hidden Markov models (Rabiner \[36\]): forward/backward and
+//! Baum–Welch re-estimation.
 //!
 //! Used as the alternative doomed-run detector the paper mentions: train
 //! one HMM on successful runs' observation sequences and one on failed
@@ -128,50 +128,6 @@ impl Hmm {
             ll += scale.ln();
         }
         ll
-    }
-
-    /// Viterbi decoding: the most likely hidden-state sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an observation symbol is out of range.
-    #[must_use]
-    pub fn viterbi(&self, obs: &[usize]) -> Vec<usize> {
-        if obs.is_empty() {
-            return Vec::new();
-        }
-        let n = self.state_count();
-        let ln = |p: f64| if p > 0.0 { p.ln() } else { -1e18 };
-        let mut delta: Vec<f64> = (0..n)
-            .map(|s| ln(self.initial[s]) + ln(self.emission[s][obs[0]]))
-            .collect();
-        let mut back: Vec<Vec<usize>> = Vec::with_capacity(obs.len());
-        back.push(vec![0; n]);
-        for &o in &obs[1..] {
-            let mut nd = vec![f64::NEG_INFINITY; n];
-            let mut nb = vec![0usize; n];
-            for j in 0..n {
-                for i in 0..n {
-                    let v = delta[i] + ln(self.transition[i][j]);
-                    if v > nd[j] {
-                        nd[j] = v;
-                        nb[j] = i;
-                    }
-                }
-                nd[j] += ln(self.emission[j][o]);
-            }
-            delta = nd;
-            back.push(nb);
-        }
-        let mut state = (0..n)
-            .max_by(|&a, &b| delta[a].partial_cmp(&delta[b]).expect("finite"))
-            .expect("non-empty states");
-        let mut path = vec![state; obs.len()];
-        for t in (1..obs.len()).rev() {
-            state = back[t][state];
-            path[t - 1] = state;
-        }
-        path
     }
 
     /// One Baum–Welch re-estimation sweep over a set of sequences.
@@ -326,18 +282,9 @@ mod tests {
     }
 
     #[test]
-    fn viterbi_recovers_obvious_states() {
-        let h = sticky();
-        let obs = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        let path = h.viterbi(&obs);
-        assert_eq!(path, vec![0, 0, 0, 0, 1, 1, 1, 1]);
-    }
-
-    #[test]
     fn empty_sequence_edge_cases() {
         let h = sticky();
         assert_eq!(h.log_likelihood(&[]), 0.0);
-        assert!(h.viterbi(&[]).is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! applied." This crate provides both:
 //!
 //! - [`finite`]: generic finite MDPs with value and policy iteration.
-//! - [`hmm`]: discrete HMMs (forward/backward, Viterbi, Baum–Welch) used
+//! - [`hmm`]: discrete HMMs (forward/backward, Baum–Welch) used
 //!   as an alternative doomed-run detector.
 //! - [`hmm_doomed`]: the HMM alternative (two-model likelihood-ratio
 //!   detector over ΔDRV sequences).

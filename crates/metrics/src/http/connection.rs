@@ -73,18 +73,50 @@ pub(super) fn refuse_overloaded(mut stream: TcpStream, limits: &HttpLimits) {
 fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Request, Response> {
     let deadline = Instant::now() + limits.read_timeout;
     let mut buf = Vec::new();
-    let head_end = loop {
-        if let Some(end) = find_head_end(&buf) {
-            break end;
+    let head = loop {
+        if let Some(head) = parse_head(&buf, limits)? {
+            break head;
         }
-        check_head_limits(&buf, limits)?;
         read_some(stream, deadline, &mut buf)?;
+    };
+    let mut body = buf.split_off(head.body_start);
+    while body.len() < head.content_length {
+        read_some(stream, deadline, &mut body)?;
+    }
+    body.truncate(head.content_length);
+    Ok(Request {
+        method: head.method,
+        target: head.target,
+        headers: head.headers,
+        body,
+    })
+}
+
+/// A parsed request line and header block.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Head {
+    method: String,
+    target: String,
+    headers: Vec<(String, String)>,
+    /// The declared `Content-Length` (0 when absent).
+    content_length: usize,
+    /// Offset of the first body byte in the bytes received so far.
+    body_start: usize,
+}
+
+/// Parses the head out of the bytes received so far: `Ok(None)` until
+/// its terminator has arrived, or the ready-to-write error response when
+/// a byte bound or the framing rules are broken.
+fn parse_head(buf: &[u8], limits: &HttpLimits) -> Result<Option<Head>, Response> {
+    let Some((head_end, body_start)) = find_head_end(buf) else {
+        check_head_limits(buf, limits)?;
+        return Ok(None);
     };
     // The terminator may have arrived in the same packet as an over-long
     // request line or header block: enforce the bounds on the final head.
     check_head_limits(&buf[..head_end], limits)?;
 
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
+    let head = String::from_utf8_lossy(&buf[..head_end]);
     let mut lines = head.split("\r\n").flat_map(|l| l.split('\n'));
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
@@ -113,20 +145,13 @@ fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Request, 
     if content_length > limits.max_body_bytes {
         return Err(Response::text(413, "request body too large\n"));
     }
-
-    let body_start = skip_terminator(&buf, head_end);
-    let mut body = buf[body_start..].to_vec();
-    while body.len() < content_length {
-        read_some(stream, deadline, &mut body)?;
-    }
-    body.truncate(content_length);
-
-    Ok(Request {
+    Ok(Some(Head {
         method,
         target,
         headers,
-        body,
-    })
+        content_length,
+        body_start,
+    }))
 }
 
 /// One bounded read under the connection deadline. Maps timeout and
@@ -156,21 +181,19 @@ fn read_some(
     }
 }
 
-/// Offset of the end of the header block, if its terminator
-/// (`\r\n\r\n` or `\n\n`) has arrived.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4)
+/// The end of the header block and the first body byte, once a
+/// terminator (`\r\n\r\n` or `\n\n`) has arrived. The first one wins: a
+/// body after an LF-only head may itself hold `\r\n\r\n`.
+fn find_head_end(buf: &[u8]) -> Option<(usize, usize)> {
+    let crlf = buf
+        .windows(4)
         .position(|w| w == b"\r\n\r\n")
-        .or_else(|| buf.windows(2).position(|w| w == b"\n\n"))
-}
-
-/// First body byte after the header terminator at `head_end`.
-fn skip_terminator(buf: &[u8], head_end: usize) -> usize {
-    if buf[head_end..].starts_with(b"\r\n\r\n") {
-        head_end + 4
-    } else {
-        head_end + 2
-    }
+        .map(|p| (p, p + 4));
+    let lf = buf
+        .windows(2)
+        .position(|w| w == b"\n\n")
+        .map(|p| (p, p + 2));
+    crlf.into_iter().chain(lf).min()
 }
 
 /// Request-line and header-block byte bounds, checked on the bytes
@@ -184,4 +207,83 @@ fn check_head_limits(buf: &[u8], limits: &HttpLimits) -> Result<(), Response> {
         return Err(Response::text(431, "headers too large\n"));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn head_parser_survives_arbitrary_bytes(
+            bytes in collection::vec(0u8..=255, 0..=16 * 1024 + 64),
+            text in "[a-zA-Z0-9 :/\r\n]{0,1024}",
+        ) {
+            let limits = HttpLimits::default();
+            for buf in [&bytes[..], text.as_bytes()] {
+                match parse_head(buf, &limits) {
+                    Ok(None) => prop_assert!(buf.len() <= limits.max_header_bytes),
+                    Ok(Some(head)) => {
+                        prop_assert!(head.body_start <= buf.len());
+                        prop_assert!(head.content_length <= limits.max_body_bytes);
+                        prop_assert!(!head.method.is_empty() && !head.target.is_empty());
+                    }
+                    Err(resp) => prop_assert!(
+                        matches!(resp.status, 400 | 413 | 414 | 431),
+                        "status {}",
+                        resp.status
+                    ),
+                }
+            }
+        }
+
+        #[test]
+        fn well_formed_heads_parse_back_exactly(
+            method in "[A-Z]{1,8}",
+            target in "[!-~]{1,40}",
+            names in collection::vec("[A-Za-z0-9-]{1,16}", 0..6),
+            values in collection::vec("[!-~]{1,24}", 6),
+            crlf in 0u8..2,
+            body in "[a-z{}:\r\n]{0,48}",
+            tail in 0usize..4,
+            declare_empty in 0u8..2,
+        ) {
+            let eol = if crlf == 1 { "\r\n" } else { "\n" };
+            // Bodies may hold either terminator, and often end in one.
+            let body = format!("{body}{}", ["", "\r\n\r\n", "\n\n", "\r\n"][tail]);
+            let mut headers: Vec<(String, String)> = names
+                .into_iter()
+                .zip(values)
+                .filter(|(n, _)| !n.eq_ignore_ascii_case("content-length"))
+                .collect();
+            if !body.is_empty() || declare_empty == 1 {
+                headers.push(("Content-Length".to_owned(), body.len().to_string()));
+            }
+            let mut request = format!("{method} {target} HTTP/1.1{eol}");
+            for (n, v) in &headers {
+                request.push_str(&format!("{n}: {v}{eol}"));
+            }
+            request.push_str(eol);
+            let body_start = request.len();
+            request.push_str(&body);
+            let bytes = request.as_bytes();
+
+            let limits = HttpLimits::default();
+            // Every strict prefix of the head waits for more bytes.
+            for end in 0..body_start {
+                prop_assert!(parse_head(&bytes[..end], &limits).unwrap().is_none());
+            }
+            let expected = Head {
+                method,
+                target,
+                headers,
+                content_length: body.len(),
+                body_start,
+            };
+            for end in body_start..=bytes.len() {
+                prop_assert_eq!(parse_head(&bytes[..end], &limits).unwrap(), Some(expected.clone()));
+            }
+        }
+    }
 }

@@ -475,6 +475,28 @@ mod tests {
     }
 
     #[test]
+    fn lf_only_head_ends_before_a_crlf_pair_in_its_body() {
+        // Trailing `\r\n\r\n` is valid JSON whitespace: the LF-only head
+        // must still end at its own blank line, not inside the body.
+        let mut server = echo_server(HttpLimits {
+            read_timeout: Duration::from_millis(500),
+            ..HttpLimits::default()
+        });
+        let body = "{\"kind\":\"gwtw\",\"dim\":4}\r\n\r\n";
+        let req = format!(
+            "POST /campaigns HTTP/1.1\nContent-Length: {}\n\n{body}",
+            body.len()
+        );
+        let out = raw(server.port(), req.as_bytes());
+        assert!(out.starts_with("HTTP/1.1 200"), "{out}");
+        assert!(
+            out.contains(&format!("POST /campaigns body={}", body.len())),
+            "{out}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
     fn connection_cap_answers_503_with_retry_after() {
         let mut server = echo_server(HttpLimits {
             read_timeout: Duration::from_millis(500),

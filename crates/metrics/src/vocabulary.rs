@@ -7,7 +7,6 @@
 //! per-step applicability, plus corpus validation so instrumented tools
 //! cannot silently drift.
 
-use crate::MetricsError;
 use ideaflow_flow::record::{FlowStep, StepRecord};
 
 /// Canonical definition of one metric.
@@ -175,23 +174,6 @@ pub fn validate(corpus: &[StepRecord]) -> Vec<VocabularyViolation> {
     out
 }
 
-/// Validates a corpus, turning the first violation into an error — the
-/// strict mode for ingestion pipelines.
-///
-/// # Errors
-///
-/// Returns [`MetricsError::InvalidParameter`] describing the first
-/// violation.
-pub fn validate_strict(corpus: &[StepRecord]) -> Result<(), MetricsError> {
-    match validate(corpus).into_iter().next() {
-        None => Ok(()),
-        Some(v) => Err(MetricsError::InvalidParameter {
-            name: "record",
-            detail: v.to_string(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,7 +206,6 @@ mod tests {
             validate(&m).as_slice(),
             [VocabularyViolation::UnknownMetric(_)]
         ));
-        assert!(validate_strict(&m).is_err());
     }
 
     #[test]

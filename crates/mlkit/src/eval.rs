@@ -1,9 +1,4 @@
-//! Regression and classification quality metrics.
-//!
-//! The doomed-run experiment (paper Section 3.3) is scored with exactly the
-//! error taxonomy implemented here: a [`ConfusionCounts`] over STOP/GO
-//! decisions, where Type-1 = wrongly stopping a run that would have
-//! succeeded and Type-2 = letting a doomed run go to completion.
+//! Regression quality metrics.
 
 /// Mean squared error. Returns 0.0 for empty input.
 ///
@@ -33,24 +28,6 @@ pub fn rmse(pred: &[f64], truth: &[f64]) -> f64 {
     mse(pred, truth).sqrt()
 }
 
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[must_use]
-pub fn mae(pred: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "mae length mismatch");
-    if pred.is_empty() {
-        return 0.0;
-    }
-    pred.iter()
-        .zip(truth)
-        .map(|(p, t)| (p - t).abs())
-        .sum::<f64>()
-        / pred.len() as f64
-}
-
 /// Coefficient of determination R². 1.0 is a perfect fit; 0.0 matches the
 /// mean predictor; negative is worse than the mean predictor. Returns 0.0
 /// if the truth is constant.
@@ -73,97 +50,6 @@ pub fn r2(pred: &[f64], truth: &[f64]) -> f64 {
     1.0 - ss_res / ss_tot
 }
 
-/// Counts of binary decisions against ground truth.
-///
-/// In the doomed-run vocabulary the *positive* event is "run succeeds"; the
-/// classifier's *positive* decision is "GO (let it run)". Then:
-/// false-negative = stopped a would-succeed run (paper **Type 1**), and
-/// false-positive = let a doomed run finish (paper **Type 2**).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ConfusionCounts {
-    /// Predicted positive, actually positive.
-    pub true_positive: usize,
-    /// Predicted positive, actually negative.
-    pub false_positive: usize,
-    /// Predicted negative, actually negative.
-    pub true_negative: usize,
-    /// Predicted negative, actually positive.
-    pub false_negative: usize,
-}
-
-impl ConfusionCounts {
-    /// Builds counts from paired (predicted, actual) booleans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    #[must_use]
-    pub fn from_pairs(pred: &[bool], truth: &[bool]) -> Self {
-        assert_eq!(pred.len(), truth.len(), "confusion length mismatch");
-        let mut c = Self::default();
-        for (&p, &t) in pred.iter().zip(truth) {
-            c.record(p, t);
-        }
-        c
-    }
-
-    /// Records one (predicted, actual) observation.
-    pub fn record(&mut self, predicted: bool, actual: bool) {
-        match (predicted, actual) {
-            (true, true) => self.true_positive += 1,
-            (true, false) => self.false_positive += 1,
-            (false, false) => self.true_negative += 1,
-            (false, true) => self.false_negative += 1,
-        }
-    }
-
-    /// Total number of observations.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.true_positive + self.false_positive + self.true_negative + self.false_negative
-    }
-
-    /// Fraction of correct decisions (0.0 for empty counts).
-    #[must_use]
-    pub fn accuracy(&self) -> f64 {
-        let n = self.total();
-        if n == 0 {
-            return 0.0;
-        }
-        (self.true_positive + self.true_negative) as f64 / n as f64
-    }
-
-    /// Fraction of wrong decisions (`1 - accuracy`; 0.0 for empty counts).
-    #[must_use]
-    pub fn error_rate(&self) -> f64 {
-        let n = self.total();
-        if n == 0 {
-            return 0.0;
-        }
-        (self.false_positive + self.false_negative) as f64 / n as f64
-    }
-
-    /// Precision of the positive decision (0.0 if never predicted positive).
-    #[must_use]
-    pub fn precision(&self) -> f64 {
-        let d = self.true_positive + self.false_positive;
-        if d == 0 {
-            return 0.0;
-        }
-        self.true_positive as f64 / d as f64
-    }
-
-    /// Recall of the positive class (0.0 if no actual positives).
-    #[must_use]
-    pub fn recall(&self) -> f64 {
-        let d = self.true_positive + self.false_negative;
-        if d == 0 {
-            return 0.0;
-        }
-        self.true_positive as f64 / d as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,7 +58,6 @@ mod tests {
     fn perfect_predictions() {
         let t = [1.0, 2.0, 3.0];
         assert_eq!(mse(&t, &t), 0.0);
-        assert_eq!(mae(&t, &t), 0.0);
         assert_eq!(r2(&t, &t), 1.0);
     }
 
@@ -187,32 +72,6 @@ mod tests {
     fn known_mse() {
         assert!((mse(&[0.0, 0.0], &[3.0, 4.0]) - 12.5).abs() < 1e-12);
         assert!((rmse(&[0.0], &[2.0]) - 2.0).abs() < 1e-12);
-        assert!((mae(&[0.0, 0.0], &[3.0, -4.0]) - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn confusion_counts_and_rates() {
-        let pred = [true, true, false, false, true];
-        let truth = [true, false, false, true, true];
-        let c = ConfusionCounts::from_pairs(&pred, &truth);
-        assert_eq!(c.true_positive, 2);
-        assert_eq!(c.false_positive, 1);
-        assert_eq!(c.true_negative, 1);
-        assert_eq!(c.false_negative, 1);
-        assert_eq!(c.total(), 5);
-        assert!((c.accuracy() - 0.6).abs() < 1e-12);
-        assert!((c.error_rate() - 0.4).abs() < 1e-12);
-        assert!((c.precision() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((c.recall() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_confusion_is_safe() {
-        let c = ConfusionCounts::default();
-        assert_eq!(c.accuracy(), 0.0);
-        assert_eq!(c.error_rate(), 0.0);
-        assert_eq!(c.precision(), 0.0);
-        assert_eq!(c.recall(), 0.0);
     }
 
     #[test]

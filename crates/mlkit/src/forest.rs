@@ -96,12 +96,6 @@ impl RandomForest {
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
         xs.iter().map(|r| self.predict(r)).collect()
     }
-
-    /// Number of trees.
-    #[must_use]
-    pub fn tree_count(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 #[cfg(test)]
@@ -182,20 +176,5 @@ mod tests {
         )
         .is_err());
         assert!(RandomForest::fit(&[], &[], ForestConfig::default()).is_err());
-    }
-
-    #[test]
-    fn tree_count_matches_config() {
-        let (xs, ys) = dataset(60);
-        let f = RandomForest::fit(
-            &xs,
-            &ys,
-            ForestConfig {
-                trees: 7,
-                ..ForestConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(f.tree_count(), 7);
     }
 }

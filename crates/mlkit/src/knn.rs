@@ -1,4 +1,4 @@
-//! k-nearest-neighbour regression and classification.
+//! k-nearest-neighbour regression.
 //!
 //! Used as a non-parametric alternative in the analysis-correlation ablation
 //! (which correction-model family best closes the miscorrelation gap).
@@ -73,54 +73,6 @@ impl KnnRegressor {
         let nb = self.neighbours(x);
         nb.iter().map(|&i| self.ys[i]).sum::<f64>() / self.k as f64
     }
-
-    /// Batch prediction.
-    #[must_use]
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|r| self.predict(r)).collect()
-    }
-
-    /// The configured `k`.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-}
-
-/// A k-nearest-neighbour classifier with integer labels.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KnnClassifier {
-    inner: KnnRegressor,
-    labels: Vec<u32>,
-}
-
-impl KnnClassifier {
-    /// Stores the training data.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KnnRegressor::fit`].
-    pub fn fit(xs: Vec<Vec<f64>>, labels: Vec<u32>, k: usize) -> Result<Self, MlError> {
-        let ys = vec![0.0; labels.len()];
-        let inner = KnnRegressor::fit(xs, ys, k)?;
-        Ok(Self { inner, labels })
-    }
-
-    /// Majority label over the `k` nearest neighbours (ties broken toward
-    /// the smaller label for determinism).
-    #[must_use]
-    pub fn predict(&self, x: &[f64]) -> u32 {
-        let nb = self.inner.neighbours(x);
-        let mut counts: std::collections::BTreeMap<u32, usize> = std::collections::BTreeMap::new();
-        for i in nb {
-            *counts.entry(self.labels[i]).or_insert(0) += 1;
-        }
-        counts
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(l, _)| l)
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -150,21 +102,5 @@ mod tests {
     fn rejects_bad_k() {
         assert!(KnnRegressor::fit(vec![vec![0.0]], vec![1.0], 0).is_err());
         assert!(KnnRegressor::fit(vec![vec![0.0]], vec![1.0], 2).is_err());
-    }
-
-    #[test]
-    fn classifier_majority_vote() {
-        let xs = vec![vec![0.0], vec![0.1], vec![0.2], vec![5.0], vec![5.1]];
-        let labels = vec![0, 0, 0, 1, 1];
-        let c = KnnClassifier::fit(xs, labels, 3).unwrap();
-        assert_eq!(c.predict(&[0.05]), 0);
-        assert_eq!(c.predict(&[5.05]), 1);
-    }
-
-    #[test]
-    fn batch_matches_single() {
-        let knn = KnnRegressor::fit(vec![vec![0.0], vec![1.0]], vec![0.0, 10.0], 1).unwrap();
-        let q = vec![vec![0.2], vec![0.9]];
-        assert_eq!(knn.predict_batch(&q), vec![0.0, 10.0]);
     }
 }

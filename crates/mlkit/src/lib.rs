@@ -13,11 +13,11 @@
 //! - [`matrix`]: dense matrices and linear solvers (Cholesky, Gauss).
 //! - [`linreg`]: ordinary least squares and ridge regression.
 //! - [`logreg`]: binary logistic regression (gradient descent).
-//! - [`knn`]: k-nearest-neighbour regression and classification.
+//! - [`knn`]: k-nearest-neighbour regression.
 //! - [`tree`]: CART regression trees and decision stumps.
+//! - [`forest`]: bagged random forests of regression trees.
 //! - [`scale`]: feature standardization.
-//! - [`split`]: train/test splitting and k-fold cross validation.
-//! - [`eval`]: regression and classification quality metrics.
+//! - [`eval`]: regression quality metrics.
 //! - [`stats`]: descriptive statistics and Gaussianity tests.
 //!
 //! # Example
@@ -43,7 +43,6 @@ pub mod linreg;
 pub mod logreg;
 pub mod matrix;
 pub mod scale;
-pub mod split;
 pub mod stats;
 pub mod tree;
 
@@ -91,84 +90,9 @@ impl fmt::Display for MlError {
 
 impl Error for MlError {}
 
-/// A labelled dataset of feature rows and scalar targets.
-///
-/// Thin convenience wrapper used by [`split`] and the model `fit` functions.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Dataset {
-    /// Feature rows; all rows must share one length.
-    pub xs: Vec<Vec<f64>>,
-    /// Targets, one per row of `xs`.
-    pub ys: Vec<f64>,
-}
-
-impl Dataset {
-    /// Creates a dataset, validating that `xs` and `ys` agree in length and
-    /// that all feature rows share one width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] on ragged rows or length
-    /// disagreement.
-    pub fn new(xs: Vec<Vec<f64>>, ys: Vec<f64>) -> Result<Self, MlError> {
-        if xs.len() != ys.len() {
-            return Err(MlError::DimensionMismatch {
-                detail: format!("{} feature rows vs {} targets", xs.len(), ys.len()),
-            });
-        }
-        if let Some(first) = xs.first() {
-            let w = first.len();
-            if let Some(bad) = xs.iter().find(|r| r.len() != w) {
-                return Err(MlError::DimensionMismatch {
-                    detail: format!("ragged row: expected width {w}, found {}", bad.len()),
-                });
-            }
-        }
-        Ok(Self { xs, ys })
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ys.len()
-    }
-
-    /// Whether the dataset has no samples.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ys.is_empty()
-    }
-
-    /// Number of features per row (0 if empty).
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.xs.first().map_or(0, Vec::len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dataset_rejects_mismatched_lengths() {
-        let err = Dataset::new(vec![vec![1.0]], vec![1.0, 2.0]).unwrap_err();
-        assert!(matches!(err, MlError::DimensionMismatch { .. }));
-    }
-
-    #[test]
-    fn dataset_rejects_ragged_rows() {
-        let err = Dataset::new(vec![vec![1.0], vec![1.0, 2.0]], vec![1.0, 2.0]).unwrap_err();
-        assert!(matches!(err, MlError::DimensionMismatch { .. }));
-    }
-
-    #[test]
-    fn dataset_reports_shape() {
-        let d = Dataset::new(vec![vec![1.0, 2.0], vec![3.0, 4.0]], vec![0.0, 1.0]).unwrap();
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.width(), 2);
-        assert!(!d.is_empty());
-    }
 
     #[test]
     fn errors_display() {

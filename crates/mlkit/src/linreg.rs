@@ -97,12 +97,6 @@ impl RidgeRegression {
         self.intercept + self.weights.iter().zip(x).map(|(w, v)| w * v).sum::<f64>()
     }
 
-    /// Predicts for a batch of rows.
-    #[must_use]
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|r| self.predict(r)).collect()
-    }
-
     /// The fitted weight vector (one entry per feature).
     #[must_use]
     pub fn weights(&self) -> &[f64] {

@@ -95,27 +95,6 @@ impl StandardScaler {
             .collect()
     }
 
-    /// Inverts the transform for one row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row width differs from the fitted width.
-    #[must_use]
-    pub fn inverse_row(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.means.len(), "scaler width mismatch");
-        x.iter()
-            .zip(&self.means)
-            .zip(&self.stds)
-            .map(|((v, m), s)| v * s + m)
-            .collect()
-    }
-
-    /// Fitted per-column means.
-    #[must_use]
-    pub fn means(&self) -> &[f64] {
-        &self.means
-    }
-
     /// Fitted per-column standard deviations (1.0 for constant columns).
     #[must_use]
     pub fn stds(&self) -> &[f64] {
@@ -140,18 +119,6 @@ mod tests {
             let sd = crate::stats::std_dev(&vals);
             assert!(m.abs() < 1e-10);
             assert!((sd - 1.0).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn roundtrip_inverse() {
-        let xs = vec![vec![1.0, -5.0], vec![3.0, 2.0], vec![9.0, 0.0]];
-        let s = StandardScaler::fit(&xs).unwrap();
-        for r in &xs {
-            let back = s.inverse_row(&s.transform_row(r));
-            for (a, b) in back.iter().zip(r) {
-                assert!((a - b).abs() < 1e-10);
-            }
         }
     }
 

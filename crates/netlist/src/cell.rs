@@ -275,11 +275,6 @@ impl Library {
         &self.cells
     }
 
-    /// Cells of a given kind, all drives and VTs.
-    pub fn variants_of(&self, kind: CellKind) -> impl Iterator<Item = &LibCell> {
-        self.cells.iter().filter(move |c| c.kind == kind)
-    }
-
     /// Number of cells in the library.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -360,7 +355,6 @@ mod tests {
     fn library_is_complete() {
         let lib = Library::standard_14nm();
         assert_eq!(lib.len(), 10 * 4 * 3);
-        assert_eq!(lib.variants_of(CellKind::Inv).count(), 12);
         assert!(!lib.is_empty());
     }
 

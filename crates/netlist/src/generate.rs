@@ -208,16 +208,6 @@ impl DesignSpec {
         Ok(Self { class, instances })
     }
 
-    /// The PULPino-like preset used throughout the experiments: a CPU-class
-    /// design at roughly the gate count of the paper's testcase block.
-    #[must_use]
-    pub fn pulpino_like() -> Self {
-        Self {
-            class: DesignClass::Cpu,
-            instances: 20_000,
-        }
-    }
-
     /// Generates the netlist deterministically from `seed`.
     ///
     /// # Panics
@@ -360,12 +350,5 @@ mod tests {
     #[test]
     fn rejects_tiny_specs() {
         assert!(DesignSpec::new(DesignClass::Cpu, 10).is_err());
-    }
-
-    #[test]
-    fn pulpino_preset_is_cpu_class() {
-        let s = DesignSpec::pulpino_like();
-        assert_eq!(s.class, DesignClass::Cpu);
-        assert!(s.instances >= 10_000);
     }
 }

@@ -25,7 +25,6 @@ pub mod generate;
 pub mod graph;
 pub mod partition;
 pub mod stats;
-pub mod verilog;
 
 use std::error::Error;
 use std::fmt;

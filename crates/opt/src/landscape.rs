@@ -142,7 +142,6 @@ impl Landscape for BigValley {
 #[derive(Debug, Clone)]
 pub struct NkLandscape {
     n: usize,
-    k: usize,
     /// `neighbors[i]` = the k other loci that bit i interacts with.
     neighbors: Vec<Vec<usize>>,
     /// Contribution tables: `tables[i][pattern]` for the (k+1)-bit pattern.
@@ -182,22 +181,9 @@ impl NkLandscape {
             .collect();
         Self {
             n,
-            k,
             neighbors,
             tables,
         }
-    }
-
-    /// Bit-string length.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Epistasis parameter.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
     }
 }
 

@@ -84,15 +84,6 @@ impl ClockTree {
             max - min
         }
     }
-
-    /// Mean insertion delay, ps.
-    #[must_use]
-    pub fn mean_insertion_ps(&self) -> f64 {
-        if self.insertion_delays_ps.is_empty() {
-            return 0.0;
-        }
-        self.insertion_delays_ps.iter().sum::<f64>() / self.insertion_delays_ps.len() as f64
-    }
 }
 
 /// Clock buffer electrical model.
@@ -314,7 +305,6 @@ mod tests {
             .insertion_delays_ps
             .iter()
             .all(|d| d.is_finite() && *d > 0.0));
-        assert!(tree.mean_insertion_ps() > 0.0);
         assert!(tree.skew_ps() >= 0.0);
         assert!(tree.wire_length_um > 0.0);
     }

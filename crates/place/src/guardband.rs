@@ -142,16 +142,6 @@ impl GuardbandModel {
             (1.0 / p).min(cap)
         }
     }
-
-    /// Achieved quality when the designer "aims low" by the guardband that
-    /// buys `confidence`: target degrades by exactly that margin.
-    ///
-    /// Returns `(margin, expected_iterations)` — the Fig 4 tradeoff pair.
-    #[must_use]
-    pub fn aim_low_tradeoff(&self, confidence: f64) -> (f64, f64) {
-        let margin = self.guardband_for(confidence);
-        (margin, self.expected_iterations(margin, 1e6))
-    }
 }
 
 #[cfg(test)]
@@ -203,17 +193,6 @@ mod tests {
         assert_eq!(m.pass_probability(0.0), 1.0);
         assert_eq!(m.expected_iterations(0.0, 1e6), 1.0);
         assert_eq!(m.pass_probability(-0.1), 0.0);
-    }
-
-    #[test]
-    fn aim_low_tradeoff_moves_as_expected() {
-        let noisy = GuardbandModel::new(3.0);
-        let quiet = GuardbandModel::new(0.5);
-        let (m_noisy, it_noisy) = noisy.aim_low_tradeoff(0.95);
-        let (m_quiet, it_quiet) = quiet.aim_low_tradeoff(0.95);
-        // Noisier tools force larger margins at the same iteration count.
-        assert!(m_noisy > m_quiet);
-        assert!((it_noisy - it_quiet).abs() < 1e-6);
     }
 
     #[test]

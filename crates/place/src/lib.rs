@@ -11,12 +11,10 @@
 //! - [`placer`]: random, partition-seeded and annealing placers, with an
 //!   incremental-HPWL annealer and an [`ideaflow_opt::Landscape`] adapter
 //!   so GWTW/multistart can orchestrate real placement.
-//! - [`congestion`]: bin-based routing-demand estimation (feeds `route`).
+//! - [`cts`]: clock-tree synthesis over the placed flops.
 //! - [`guardband`]: the noise → margin → iterations model that the Fig 4
 //!   harness sweeps.
 
-pub mod bookshelf;
-pub mod congestion;
 pub mod cts;
 pub mod floorplan;
 pub mod guardband;

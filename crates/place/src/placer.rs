@@ -270,18 +270,6 @@ impl ideaflow_opt::Landscape for PlacementLandscape<'_> {
     }
 }
 
-/// Convenience: structural statistic used by flow predictors — HPWL of a
-/// quick partition-seeded placement, normalized per instance.
-///
-/// # Errors
-///
-/// Propagates placement errors.
-pub fn quick_hpwl_estimate(netlist: &Netlist, seed: u64) -> Result<f64, PlaceError> {
-    let fp = Floorplan::for_netlist(netlist, 0.7, 1.0)?;
-    let p = partition_seeded_placement(netlist, &fp, seed)?;
-    Ok(total_hpwl(netlist, &fp, &p) / netlist.instance_count().max(1) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,12 +373,5 @@ mod tests {
             random_placement(&nl, &small_fp, 0),
             Err(PlaceError::DoesNotFit { .. })
         ));
-    }
-
-    #[test]
-    fn quick_hpwl_estimate_is_positive() {
-        let nl = DesignSpec::new(DesignClass::Cpu, 200).unwrap().generate(4);
-        let e = quick_hpwl_estimate(&nl, 1).unwrap();
-        assert!(e > 0.0);
     }
 }

@@ -107,17 +107,6 @@ impl DrvTrajectory {
             .map(|&c| (c.max(1) as f64).log10())
             .collect()
     }
-
-    /// Signed change in DRVs at iteration `t` (`counts[t] - counts[t-1]`;
-    /// iteration 0 reports 0 change).
-    #[must_use]
-    pub fn delta_at(&self, t: usize) -> i64 {
-        if t == 0 {
-            0
-        } else {
-            self.counts[t] as i64 - self.counts[t - 1] as i64
-        }
-    }
 }
 
 /// Simulates one detailed-routing run.
@@ -274,15 +263,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.counts.len(), 35);
-    }
-
-    #[test]
-    fn deltas_are_consistent() {
-        let t = run(RouterBehavior::SlowConverge, 9);
-        assert_eq!(t.delta_at(0), 0);
-        for i in 1..t.counts.len() {
-            assert_eq!(t.delta_at(i), t.counts[i] as i64 - t.counts[i - 1] as i64);
-        }
     }
 
     #[test]

@@ -14,7 +14,6 @@ use ideaflow_place::placement::{primary_input_location, Placement};
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalRoute {
     cols: usize,
-    rows: usize,
     usage: Vec<f64>,
     capacity: f64,
 }
@@ -52,7 +51,6 @@ impl GlobalRoute {
         assert!(cfg.capacity > 0.0, "capacity must be positive");
         let mut gr = Self {
             cols: cfg.cols,
-            rows: cfg.rows,
             usage: vec![0.0; cfg.cols * cfg.rows],
             capacity: cfg.capacity,
         };
@@ -162,29 +160,6 @@ impl GlobalRoute {
         }
     }
 
-    /// Grid columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Grid rows.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Usage at a bin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    #[must_use]
-    pub fn usage_at(&self, col: usize, row: usize) -> f64 {
-        assert!(col < self.cols && row < self.rows, "bin out of range");
-        self.usage[self.idx(col, row)]
-    }
-
     /// Maximum bin utilization (usage / capacity).
     #[must_use]
     pub fn max_utilization(&self) -> f64 {
@@ -231,11 +206,6 @@ mod tests {
     fn routes_have_positive_usage() {
         let (nl, fp, p) = setup();
         let gr = GlobalRoute::run(&nl, &fp, &p, RouteConfig::default());
-        let total: f64 = (0..gr.rows())
-            .flat_map(|r| (0..gr.cols()).map(move |c| (c, r)))
-            .map(|(c, r)| gr.usage_at(c, r))
-            .sum();
-        assert!(total > 0.0);
         assert!(gr.max_utilization() > 0.0);
     }
 

@@ -192,6 +192,7 @@ fn bounded_dim(dim: usize) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn parse(json: &str) -> Result<CampaignSpec, String> {
         let v: Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
@@ -261,5 +262,103 @@ mod tests {
         let re: Value = serde_json::from_str(&serde_json::to_string(&spec.raw).unwrap()).unwrap();
         let again = CampaignSpec::from_value(&re).unwrap();
         assert_eq!(spec, again);
+    }
+
+    const KINDS: [&str; 5] = ["chaos", "gwtw", "multistart", "bandit", "nope"];
+    /// The keys each entry of [`KINDS`] accepts besides `kind`.
+    const KEYS: [&[&str]; 5] = [
+        &["rounds", "seed", "fault_rate"],
+        &["dim", "seed"],
+        &["dim", "starts", "seed"],
+        &["instances", "seed"],
+        &["rounds"],
+    ];
+    /// Integers on and around every documented range boundary.
+    const EDGES: [i64; 14] = [-1, 0, 1, 2, 49, 50, 63, 64, 65, 256, 257, 1999, 2000, 2001];
+    /// Floats on and around the `fault_rate` boundaries.
+    const FLOAT_EDGES: [f64; 7] = [-0.01, -0.0, 0.0, 0.005, 0.2, 0.21, 64.0];
+
+    /// `depth` containers around `leaf`; bit `i % 64` of `shape` picks an
+    /// array or a one-key object at level `i`.
+    fn nest(depth: usize, shape: u64, leaf: Value) -> Value {
+        (0..depth).fold(leaf, |v, i| {
+            if shape >> (i % 64) & 1 == 1 {
+                Value::Array(vec![v])
+            } else {
+                Value::Object(vec![("seed".to_owned(), v)])
+            }
+        })
+    }
+
+    /// A value of the type `ty` picks (an integer half the time), deep
+    /// containers included.
+    fn value_of(ty: u8, edge: usize, depth: usize, shape: u64) -> Value {
+        match ty {
+            0 => Value::Null,
+            1 => Value::Bool(edge.is_multiple_of(2)),
+            2 => Value::Str(KINDS[edge % KINDS.len()].to_owned()),
+            3 => Value::Float([f64::NAN, f64::INFINITY, 1e300][edge % 3]),
+            4 => nest(depth, shape, Value::Int(EDGES[edge])),
+            5..=7 => Value::Float(FLOAT_EDGES[edge % FLOAT_EDGES.len()]),
+            _ => Value::Int(EDGES[edge]),
+        }
+    }
+
+    /// The ranges `from_value` documents for every accepted spec.
+    fn assert_documented_ranges(spec: &CampaignSpec) {
+        match spec.kind {
+            CampaignKind::Chaos {
+                rounds, fault_rate, ..
+            } => {
+                assert!((1..=64).contains(&rounds), "rounds {rounds}");
+                assert!((0.0..=0.2).contains(&fault_rate), "fault_rate {fault_rate}");
+            }
+            CampaignKind::Gwtw { dim, .. } => assert!((2..=64).contains(&dim), "dim {dim}"),
+            CampaignKind::Multistart { dim, starts, .. } => {
+                assert!((2..=64).contains(&dim), "dim {dim}");
+                assert!((1..=256).contains(&starts), "starts {starts}");
+            }
+            CampaignKind::Bandit { instances, .. } => {
+                assert!((50..=2000).contains(&instances), "instances {instances}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Trees built in memory skip the JSON parser's 64-level bound,
+        /// so they nest well past it here.
+        #[test]
+        fn from_value_never_panics_and_holds_its_ranges(
+            kind in 0usize..5,
+            present in collection::vec(0u8..3, 3),
+            types in collection::vec(0u8..16, 4),
+            edges in collection::vec(0usize..14, 4),
+            extra in 0usize..12,
+            depth in 60usize..300,
+            shape in 0u64..u64::MAX,
+        ) {
+            let mut entries = vec![("kind".to_owned(), Value::Str(KINDS[kind].to_owned()))];
+            for (i, key) in KEYS[kind].iter().enumerate() {
+                if present[i] > 0 {
+                    let v = value_of(types[i], edges[i], depth, shape);
+                    entries.push(((*key).to_owned(), v));
+                }
+            }
+            // Sometimes one more key, allowed for some other kind or none.
+            if let Some(key) = ["kind", "rounds", "starts", "instances", "x"].get(extra) {
+                let v = value_of(types[3], edges[3], depth, shape);
+                entries.push(((*key).to_owned(), v));
+            }
+            let body = Value::Object(entries);
+            for v in [nest(depth, shape, body.clone()), body] {
+                if let Ok(spec) = CampaignSpec::from_value(&v) {
+                    assert_documented_ranges(&spec);
+                    // Verbatim, NaN included (which `==` cannot see).
+                    prop_assert_eq!(format!("{:?}", spec.raw), format!("{v:?}"));
+                }
+            }
+        }
     }
 }

@@ -99,12 +99,6 @@ impl<'a> TimingGraph<'a> {
         self.netlist
     }
 
-    /// The wire model in use.
-    #[must_use]
-    pub fn wire_model(&self) -> &WireModel {
-        &self.wire
-    }
-
     /// Per-net length (um).
     #[must_use]
     pub fn net_length(&self, net: NetId) -> f64 {

@@ -133,12 +133,6 @@ impl Constraints {
             input_delay_ps: 40.0,
         })
     }
-
-    /// The target frequency implied by the period.
-    #[must_use]
-    pub fn frequency_ghz(&self) -> f64 {
-        1_000.0 / self.clock_period_ps
-    }
 }
 
 #[cfg(test)]
@@ -161,10 +155,9 @@ mod tests {
     }
 
     #[test]
-    fn constraints_roundtrip_frequency() {
+    fn constraints_period_follows_frequency() {
         let c = Constraints::at_frequency_ghz(0.5).unwrap();
         assert!((c.clock_period_ps - 2_000.0).abs() < 1e-9);
-        assert!((c.frequency_ghz() - 0.5).abs() < 1e-12);
     }
 
     #[test]

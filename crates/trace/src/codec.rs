@@ -80,7 +80,7 @@ const FRAME_INDEX: u8 = 3;
 /// and the vendored `serde_json` parser stops at the same depth, so
 /// every record this decoder accepts renders to a JSONL line that
 /// parses back.
-const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// Most undefined ids a reader's name table may hold at once. Writer
 /// threads racing the interner leave a few short-lived gaps; a corrupt
@@ -343,8 +343,21 @@ fn norm_float(f: f64) -> Value {
     Value::Float(f)
 }
 
-fn encode_value(out: &mut Vec<u8>, table: &NameTable, tn: &mut ThreadNames, v: &Value) {
+/// Encodes one value that sits inside `depth` arrays and objects of its
+/// rendered event, counted as [`decode_value`] counts them. A container
+/// that would sit at [`MAX_DEPTH`] or deeper is written as `null`, as
+/// `norm_float` writes a non-finite float: the decoder refuses such a
+/// container, and every record a journal writes must decode, render and
+/// parse back.
+fn encode_value(
+    out: &mut Vec<u8>,
+    table: &NameTable,
+    tn: &mut ThreadNames,
+    v: &Value,
+    depth: usize,
+) {
     match v {
+        Value::Array(_) | Value::Object(_) if depth >= MAX_DEPTH => out.push(0),
         Value::Null => out.push(0),
         Value::Bool(false) => out.push(1),
         Value::Bool(true) => out.push(2),
@@ -372,7 +385,7 @@ fn encode_value(out: &mut Vec<u8>, table: &NameTable, tn: &mut ThreadNames, v: &
             out.push(6);
             put_varint(out, items.len() as u64);
             for item in items {
-                encode_value(out, table, tn, item);
+                encode_value(out, table, tn, item, depth + 1);
             }
         }
         Value::Object(entries) => {
@@ -380,7 +393,7 @@ fn encode_value(out: &mut Vec<u8>, table: &NameTable, tn: &mut ThreadNames, v: &
             put_varint(out, entries.len() as u64);
             for (k, v) in entries {
                 tn.encode(out, table, k);
-                encode_value(out, table, tn, v);
+                encode_value(out, table, tn, v, depth + 1);
             }
         }
     }
@@ -397,12 +410,14 @@ pub fn record_frame(table: &NameTable, tn: &mut ThreadNames, event: &RunEvent) -
     put_varint(&mut body, event.seq);
     tn.encode(&mut body, table, &event.run_id);
     tn.encode(&mut body, table, &event.step);
+    // Depths count the event object (and the payload object) a
+    // rendering wraps the values in, as the decoder does.
     match event.payload.as_object() {
         Some(entries) => {
             put_varint(&mut body, (entries.len() as u64) << 1);
             for (k, v) in entries {
                 tn.encode(&mut body, table, k);
-                encode_value(&mut body, table, tn, v);
+                encode_value(&mut body, table, tn, v, 2);
             }
         }
         // Non-object payloads never come out of `Journal::emit`, but
@@ -410,7 +425,7 @@ pub fn record_frame(table: &NameTable, tn: &mut ThreadNames, event: &RunEvent) -
         // count tag says "one raw value follows".
         None => {
             put_varint(&mut body, 1);
-            encode_value(&mut body, table, tn, &event.payload);
+            encode_value(&mut body, table, tn, &event.payload, 1);
         }
     }
     frame(body)
@@ -1638,26 +1653,74 @@ mod tests {
         // `k` nested arrays in a field sit inside the event and payload
         // objects: `k + 2` containers deep as JSON.
         let nest = |k: usize| (0..k).fold(Value::Null, |v, _| Value::Array(vec![v]));
-        for k in [MAX_DEPTH - 2, MAX_DEPTH - 1] {
-            let event = ev("r", "prop.event", 0, vec![("v", nest(k))]);
-            let table = NameTable::with_base(base_names());
+        let table = NameTable::with_base(base_names());
+        let decode = |frame: &[u8]| {
             let mut bytes = header_bytes(&base_names());
-            bytes.extend_from_slice(&record_frame(&table, &mut ThreadNames::default(), &event));
+            bytes.extend_from_slice(frame);
             let mut dec = StreamDecoder::new();
             dec.push(&bytes);
-            let decoded = dec.next_event();
-            let line = serde_json::to_string(&event).unwrap();
-            let parsed = serde_json::from_str::<RunEvent>(&line);
-            if k + 2 <= MAX_DEPTH {
-                assert_eq!(decoded, Ok(Some(event.clone())));
-                assert_eq!(parsed.unwrap(), event);
-            } else {
-                assert!(
-                    matches!(decoded, Err(DecodeError::Corrupt { .. })),
-                    "{decoded:?}"
-                );
-                assert!(parsed.is_err());
+            dec.next_event()
+        };
+        // The writer bounds depth, so a frame the decoder must refuse is
+        // built by hand: field `v` holding `k` one-item arrays around a
+        // null.
+        let hand_frame = |k: usize| {
+            let mut tn = ThreadNames::default();
+            let mut body = vec![FRAME_RECORD, 0];
+            tn.encode(&mut body, &table, "r");
+            tn.encode(&mut body, &table, "prop.event");
+            put_varint(&mut body, 1 << 1);
+            tn.encode(&mut body, &table, "v");
+            for _ in 0..k {
+                body.extend_from_slice(&[6, 1]);
             }
+            body.push(0);
+            frame(body)
+        };
+
+        // The deepest field the decoder accepts: the writer and
+        // `hand_frame` produce the same bytes for it, and it decodes,
+        // renders and parses back.
+        let event = ev("r", "prop.event", 0, vec![("v", nest(MAX_DEPTH - 2))]);
+        let written = record_frame(&table, &mut ThreadNames::default(), &event);
+        assert_eq!(written, hand_frame(MAX_DEPTH - 2));
+        assert_eq!(decode(&written), Ok(Some(event.clone())));
+        let line = serde_json::to_string(&event).unwrap();
+        assert_eq!(serde_json::from_str::<RunEvent>(&line).unwrap(), event);
+
+        // One level deeper, the decoder and the JSON parser both refuse.
+        let decoded = decode(&hand_frame(MAX_DEPTH - 1));
+        assert!(
+            matches!(decoded, Err(DecodeError::Corrupt { .. })),
+            "{decoded:?}"
+        );
+        let deep = ev("r", "prop.event", 0, vec![("v", nest(MAX_DEPTH - 1))]);
+        let line = serde_json::to_string(&deep).unwrap();
+        assert!(serde_json::from_str::<RunEvent>(&line).is_err());
+    }
+
+    #[test]
+    fn writer_writes_over_deep_containers_as_null() {
+        let nest = |k: usize| (0..k).fold(Value::Null, |v, _| Value::Array(vec![v]));
+        let table = NameTable::with_base(base_names());
+        let mut tn = ThreadNames::default();
+        let mut bytes = header_bytes(&base_names());
+        // A field starts at depth 2, a raw (non-object) payload at depth 1.
+        let field = ev("r", "prop.event", 0, vec![("v", nest(70))]);
+        let mut raw = ev("r", "prop.event", 1, vec![]);
+        raw.payload = nest(70);
+        for e in [&field, &raw] {
+            bytes.extend_from_slice(&record_frame(&table, &mut tn, e));
+        }
+        let mut dec = StreamDecoder::new();
+        dec.push(&bytes);
+        let first = dec.next_event().unwrap().unwrap();
+        assert_eq!(first.payload.get("v"), Some(&nest(MAX_DEPTH - 2)));
+        let second = dec.next_event().unwrap().unwrap();
+        assert_eq!(second.payload, nest(MAX_DEPTH - 1));
+        for e in [first, second] {
+            let line = serde_json::to_string(&e).unwrap();
+            assert_eq!(serde_json::from_str::<RunEvent>(&line).unwrap(), e);
         }
     }
 

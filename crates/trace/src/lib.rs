@@ -810,6 +810,35 @@ mod tests {
     }
 
     #[test]
+    fn an_over_deep_field_leaves_every_record_readable() {
+        // 70 nested arrays in a field: past the decoder's depth bound, so
+        // the writer stores the innermost containers as null.
+        let nest = |k: usize| (0..k).fold(Value::Null, |v, _| Value::Array(vec![v]));
+        let emit = |j: &Journal| {
+            j.emit("deep.field", &[("v", nest(70))]);
+            j.emit("after.deep", &[("x", 1.into())]);
+            j.finish();
+        };
+        let memory = Journal::in_memory("deep");
+        emit(&memory);
+        let from_memory = parse_jsonl(&memory.drain_lines().join("\n")).unwrap();
+        let path =
+            std::env::temp_dir().join(format!("ideaflow_trace_deep_{}.ifj", std::process::id()));
+        emit(&Journal::to_file("deep", &path).unwrap());
+        let from_file = Journal::load(&path).unwrap().events;
+        std::fs::remove_file(&path).ok();
+        for events in [from_memory, from_file] {
+            let field = |step: &str, name: &str| {
+                let e = events.iter().find(|e| e.step == step).expect(step);
+                e.payload.get(name).cloned()
+            };
+            // Two nesting levels go to the event and payload objects.
+            assert_eq!(field("deep.field", "v"), Some(nest(codec::MAX_DEPTH - 2)));
+            assert_eq!(field("after.deep", "x"), Some(Value::Int(1)));
+        }
+    }
+
+    #[test]
     fn concurrent_emitters_merge_into_a_dense_monotone_sequence() {
         let j = Journal::in_memory("conc");
         std::thread::scope(|s| {

@@ -128,27 +128,6 @@ impl JournalReader {
         groups.into_iter().map(|(k, h)| (k, h.stats())).collect()
     }
 
-    /// The schema-registry hash recorded by this journal's
-    /// `journal.meta` header, when present. `None` means the corpus
-    /// predates schema versioning — cross-version consumers should
-    /// treat it with the same suspicion as a hash mismatch.
-    #[must_use]
-    pub fn schema_hash(&self) -> Option<&str> {
-        self.events
-            .iter()
-            .find(|e| e.step == "journal.meta")?
-            .payload
-            .get("schema_hash")
-            .and_then(Value::as_str)
-    }
-
-    /// Whether this journal was written under the schema registry of
-    /// the current build (false when the header is missing or stale).
-    #[must_use]
-    pub fn schema_is_current(&self) -> bool {
-        self.schema_hash() == Some(crate::schema::registry_hash_hex().as_str())
-    }
-
     /// The stats for one step/field pair, when present.
     #[must_use]
     pub fn field_stats(&self, step: &str, field: &str) -> Option<FieldStats> {
@@ -220,27 +199,6 @@ mod tests {
         assert_eq!(groups[1].0, 1);
         assert_eq!(groups[1].1.count, 1);
         assert_eq!(groups[1].1.mean, 5.0);
-    }
-
-    #[test]
-    fn schema_hash_round_trips_through_a_file_journal() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("ideaflow_reader_meta_{}.ifj", std::process::id()));
-        {
-            let j = Journal::to_file("meta", &path).unwrap();
-            j.emit("flow.place", &[("hpwl_um", 1.0.into())]);
-            j.finish();
-        }
-        let r = Journal::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(
-            r.schema_hash(),
-            Some(crate::schema::registry_hash_hex().as_str())
-        );
-        assert!(r.schema_is_current());
-        // In-memory journals carry no header: pre-versioning shape.
-        assert_eq!(sample_journal().schema_hash(), None);
-        assert!(!sample_journal().schema_is_current());
     }
 
     #[test]

@@ -845,12 +845,6 @@ pub fn is_span(name: &str) -> bool {
     known(SPANS, name)
 }
 
-/// Whether `name` is a declared telemetry gauge.
-#[must_use]
-pub fn is_gauge(name: &str) -> bool {
-    known(GAUGES, name)
-}
-
 /// A stable fingerprint of this build's registry: FNV-1a over every
 /// declared event (name, field names, kinds, optionality, the
 /// extra-fields flag) and every aggregate name, with section tags and

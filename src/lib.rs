@@ -21,7 +21,7 @@
 //!   results stay bit-identical at any thread count.
 //! - [`costmodel`]: the ITRS design-cost model (Figs 1–2).
 //! - [`core`]: the orchestration layer tying it all together (Fig 4,
-//!   staged ML insertion, robot engineers, single-pass driver).
+//!   staged ML insertion, robot engineers, the doomed-run watchdog).
 //!
 //! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for
 //! paper-vs-measured results.
