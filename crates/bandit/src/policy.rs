@@ -498,8 +498,9 @@ mod tests {
         let mut live = ThompsonGaussian::new(3, 1.0, 0.3).unwrap();
         let mut env = crate::GaussianEnv::new(vec![0.0, 1.0, 0.2], vec![0.3, 0.3, 0.3], 5).unwrap();
         crate::sim::run_sequential_journaled(&mut live, &mut env, 120, 9, &journal).unwrap();
-        let reader =
-            ideaflow_trace::JournalReader::from_jsonl(&journal.drain_lines().join("\n")).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: journal.drain_events(),
+        };
 
         let mut warm = ThompsonGaussian::new(3, 1.0, 0.3).unwrap();
         assert_eq!(warm.seed_from_journal(&reader), 120);
@@ -527,8 +528,9 @@ mod tests {
         let means = vec![0.0, 1.0, 0.1, -0.2];
         let mut env = crate::GaussianEnv::new(means.clone(), vec![0.3; 4], 21).unwrap();
         crate::sim::run_sequential_journaled(&mut recorder, &mut env, 200, 13, &journal).unwrap();
-        let reader =
-            ideaflow_trace::JournalReader::from_jsonl(&journal.drain_lines().join("\n")).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: journal.drain_events(),
+        };
 
         let suboptimal_pulls = |policy: &mut ThompsonGaussian| -> usize {
             let mut env = crate::GaussianEnv::new(means.clone(), vec![0.3; 4], 77).unwrap();
@@ -557,8 +559,9 @@ mod tests {
             "bandit.pull",
             &[("arm", 0i64.into()), ("reward", 2.0.into())],
         );
-        let reader =
-            ideaflow_trace::JournalReader::from_jsonl(&journal.drain_lines().join("\n")).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: journal.drain_events(),
+        };
         let mut p = ThompsonGaussian::new(2, 1.0, 0.3).unwrap();
         assert_eq!(p.seed_from_journal(&reader), 1);
         assert_eq!(p.stats[0].n, 1);

@@ -367,8 +367,9 @@ mod tests {
         let plain = run_sequential(&mut p2, &mut e2, 50, 3).unwrap();
         assert_eq!(run, plain, "journaling must not perturb the run");
 
-        let lines = journal.drain_lines().join("\n");
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: journal.drain_events(),
+        };
         let pulls = reader.events_for_step("bandit.pull");
         assert_eq!(pulls.len(), 50);
         assert!(reader.seq_strictly_increasing_per_run());
@@ -393,8 +394,9 @@ mod tests {
         let iters = run_concurrent_journaled(&mut p, &mut e, 40, 5, 11, &journal).unwrap();
         assert_eq!(iters.len(), 40);
 
-        let lines = journal.drain_lines().join("\n");
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: journal.drain_events(),
+        };
         // The acceptance bar: per-pull event count equals the configured
         // budget (iterations x concurrency).
         assert_eq!(reader.events_for_step("bandit.pull").len(), 200);
@@ -472,8 +474,9 @@ mod tests {
 
         // Journal: pull events + censored events partition the budget, and
         // the posterior warm-start sees only the uncensored pulls.
-        let lines = journal.drain_lines().join("\n");
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: journal.drain_events(),
+        };
         let pulls = reader.events_for_step("bandit.pull").len();
         let cens = reader.events_for_step("bandit.censored").len();
         assert_eq!(pulls + cens, 200);

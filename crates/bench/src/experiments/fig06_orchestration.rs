@@ -321,11 +321,9 @@ mod tests {
 
         // Resume: seed a fresh cache from the cancelled campaign's
         // journal, re-run in full — bit-identical to uninterrupted.
-        let lines = journal.drain_lines().join("\n");
-        let events = ideaflow_trace::parse_jsonl(&lines).expect("valid journal");
         let cache = QorCache::new();
         let mut warmed = 0;
-        for event in &events {
+        for event in &journal.drain_events() {
             if cache.seed_event(event) {
                 warmed += 1;
             }

@@ -186,8 +186,9 @@ mod tests {
     fn journaled_run_emits_one_event_per_configured_pull() {
         let journal = Journal::in_memory("fig07-test");
         let d = run_journaled(300, 5, &journal);
-        let lines = journal.drain_lines().join("\n");
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: journal.drain_events(),
+        };
         // Acceptance bar: per-pull journal count equals the configured
         // budget (iterations x concurrency).
         assert_eq!(

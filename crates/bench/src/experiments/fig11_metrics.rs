@@ -15,7 +15,7 @@ use ideaflow_metrics::corpus;
 use ideaflow_metrics::feedback::AdaptiveTargeter;
 use ideaflow_metrics::miner::{prescribe_frequency_ghz, sensitivity};
 use ideaflow_netlist::generate::{DesignClass, DesignSpec};
-use ideaflow_trace::{parse_jsonl, Journal};
+use ideaflow_trace::Journal;
 
 /// The Fig 11 demonstration data.
 #[derive(Debug, Clone)]
@@ -34,8 +34,7 @@ pub struct Fig11Data {
 
 /// The records journaled since the last drain of an in-memory journal.
 fn drain_corpus(journal: &Journal) -> Vec<StepRecord> {
-    let events = parse_jsonl(&journal.drain_lines().join("\n")).expect("journal lines parse");
-    corpus::from_events(&events)
+    corpus::from_events(&journal.drain_events())
 }
 
 /// Runs the full METRICS pipeline on a generated design.

@@ -22,7 +22,8 @@ use ideaflow_metrics::http::TelemetryServer;
 use ideaflow_trace::{Journal, TelemetryRegistry};
 
 /// Parses the common `--journal <path>` (or `--journal=<path>`) flag every
-/// `fig*`/`tab*` binary accepts and opens a file-backed run journal there
+/// `fig*`/`tab*` binary accepts, out of `args` (the arguments after the
+/// program name), and opens a file-backed run journal there
 /// (the binary codec; `ifjournal convert` renders it as JSONL); without
 /// the flag, returns the no-op journal. Call [`Journal::finish`] before
 /// the binary exits so the summary event and counters land in the file.
@@ -31,16 +32,6 @@ use ideaflow_trace::{Journal, TelemetryRegistry};
 ///
 /// Panics (with the offending path) if the journal file cannot be created,
 /// or if `--journal` is the last argument with no path following it.
-#[must_use]
-pub fn journal_from_args(run_id: &str) -> Journal {
-    journal_from_arg_list(run_id, std::env::args().skip(1))
-}
-
-/// [`journal_from_args`] over an explicit argument list (testable core).
-///
-/// # Panics
-///
-/// Same contract as [`journal_from_args`].
 pub fn journal_from_arg_list(run_id: &str, args: impl IntoIterator<Item = String>) -> Journal {
     let mut path: Option<String> = None;
     let mut args = args.into_iter();
@@ -100,7 +91,7 @@ impl BenchSession {
 /// Parses the observability flags every `fig*`/`tab*` binary accepts:
 ///
 /// - `--journal <path>`: file-backed run journal (as
-///   [`journal_from_args`]);
+///   [`journal_from_arg_list`]);
 /// - `--telemetry-port <port>`: serve live Prometheus metrics on
 ///   `127.0.0.1:<port>` (`0` picks a free port; the chosen endpoint is
 ///   printed to stderr). Works with or without `--journal` — without
@@ -334,7 +325,7 @@ mod tests {
         // No --journal: a telemetry-only journal still drives the
         // registry.
         assert!(s.journal.is_enabled());
-        assert!(s.journal.drain_lines().is_empty());
+        assert!(s.journal.drain_events().is_empty());
         s.journal.count("bench.iterations", 3);
         s.journal.observe("bench.cost", 1.5);
         let port = s.server.as_ref().unwrap().port();

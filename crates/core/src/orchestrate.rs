@@ -402,8 +402,9 @@ mod tests {
         let fmax = f.fmax_ref_ghz();
         let cmp =
             compare_orchestration_journaled(&f, fmax * 0.85, small_cfg(), 3, &journal).unwrap();
-        let lines = journal.drain_lines().join("\n");
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: journal.drain_events(),
+        };
         assert_eq!(
             reader.events_for_step("gwtw.round").len(),
             small_cfg().rounds

@@ -900,7 +900,9 @@ mod tests {
             drop(root);
             let _ = root_id;
         }
-        let reader = JournalReader::from_jsonl(&journal.drain_lines().join("\n")).unwrap();
+        let reader = JournalReader {
+            events: journal.drain_events(),
+        };
         let opens = reader.events_for_step("span.open");
         let root_id = opens
             .iter()

@@ -786,8 +786,9 @@ mod tests {
         let o = SpnrOptions::with_target_ghz(f.fmax_ref_ghz() * 0.7).unwrap();
         let _ = f.run_physical(&o, 0);
         let _ = f.run(&o, 0);
-        let lines = f.journal().drain_lines();
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines.join("\n")).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: f.journal().drain_events(),
+        };
         assert!(reader.seq_strictly_increasing_per_run());
         for step in [
             "flow.floorplan",
@@ -812,8 +813,9 @@ mod tests {
             .with_journal(ideaflow_trace::Journal::in_memory("spans"));
         let o = SpnrOptions::with_target_ghz(f.fmax_ref_ghz() * 0.7).unwrap();
         let _ = f.run_physical(&o, 0);
-        let lines = f.journal().drain_lines();
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines.join("\n")).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: f.journal().drain_events(),
+        };
         // Root span + one child per stage, all closed.
         let opens = reader.events_for_step("span.open");
         assert_eq!(opens.len(), 7);
@@ -853,17 +855,18 @@ mod tests {
     #[test]
     fn cache_hits_emit_the_same_journal_events_as_cold_runs() {
         let o = SpnrOptions::with_target_ghz(0.4).unwrap();
-        let strip_seq = |lines: Vec<String>| -> Vec<String> {
-            lines
-                .into_iter()
-                .filter(|l| l.contains("flow.sample"))
-                .collect()
+        // Same samples; only the seq counter may differ.
+        let samples = |journal: &ideaflow_trace::Journal| {
+            let mut events = journal.drain_events();
+            events.retain(|e| e.step == "flow.sample");
+            events.iter_mut().for_each(|e| e.seq = 0);
+            events
         };
         let cold = flow().with_journal(ideaflow_trace::Journal::in_memory("cold"));
         for s in 0..5 {
             let _ = cold.run(&o, s);
         }
-        let cold_lines = strip_seq(cold.journal().drain_lines());
+        let cold_samples = samples(cold.journal());
 
         let warm = flow()
             .with_cache(crate::cache::QorCache::new())
@@ -871,23 +874,14 @@ mod tests {
         for s in 0..5 {
             let _ = warm.run(&o, s); // populate
         }
-        let _ = warm.journal().drain_lines();
+        let _ = warm.journal().drain_events();
         for s in 0..5 {
             let _ = warm.run(&o, s); // all hits
         }
-        let warm_lines = strip_seq(warm.journal().drain_lines());
+        let warm_samples = samples(warm.journal());
         assert_eq!(warm.cache().unwrap().hits(), 5);
-        assert_eq!(cold_lines.len(), warm_lines.len());
-        for (c, w) in cold_lines.iter().zip(&warm_lines) {
-            // Same payloads; only the seq counter may differ.
-            let strip = |l: &str| {
-                l.split(',')
-                    .filter(|part| !part.contains("\"seq\""))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            assert_eq!(strip(c), strip(w));
-        }
+        assert_eq!(cold_samples.len(), 5);
+        assert_eq!(cold_samples, warm_samples);
     }
 
     #[test]
@@ -995,8 +989,9 @@ mod tests {
         // The cache memoizes the clean surface; perturbed replays agree.
         assert_eq!(cold, warm);
         assert!(cache.hits() > 0);
-        let lines = f.journal().drain_lines();
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines.join("\n")).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: f.journal().drain_events(),
+        };
         let injected = reader.events_for_step("fault.injected");
         assert_eq!(injected.len() as u64, f.faults().unwrap().total());
         assert!(injected

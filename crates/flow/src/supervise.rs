@@ -470,8 +470,9 @@ mod tests {
         }
         assert!(retried, "a 40% crash rate must force at least one retry");
         assert!(succeeded >= 35, "only {succeeded}/40 runs survived");
-        let lines = f.journal().drain_lines();
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines.join("\n")).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: f.journal().drain_events(),
+        };
         assert!(!reader.events_for_step("run.retry").is_empty());
         assert!(!reader.events_for_step("fault.injected").is_empty());
     }
@@ -545,8 +546,9 @@ mod tests {
             }
         }
         assert!(timed_out, "50% hang rate must trip the deadline");
-        let lines = f.journal().drain_lines();
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines.join("\n")).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: f.journal().drain_events(),
+        };
         assert!(!reader.events_for_step("run.timeout").is_empty());
     }
 
@@ -578,8 +580,9 @@ mod tests {
             }
             other => panic!("expected Killed, got {other:?}"),
         }
-        let lines = f.journal().drain_lines();
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines.join("\n")).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: f.journal().drain_events(),
+        };
         assert_eq!(reader.events_for_step("run.killed").len(), 1);
     }
 
@@ -623,8 +626,11 @@ mod tests {
             "crashes charge nothing"
         );
         journal.finish();
-        let lines = journal.drain_lines().join("\n");
-        let diags = ideaflow_trace::schema::lint_jsonl(&lines);
+        let diags: Vec<String> = journal
+            .drain_events()
+            .iter()
+            .flat_map(ideaflow_trace::schema::lint_event)
+            .collect();
         assert!(diags.is_empty(), "{diags:?}");
     }
 

@@ -682,10 +682,14 @@ mod tests {
         assert!(engine.active().is_empty());
         assert_eq!(reg.gauge_value("alert.active{rule=\"queue\"}"), Some(0.0));
 
-        let lines = journal.drain_lines().join("\n");
-        assert!(lines.contains("alert.fired"), "{lines}");
-        assert!(lines.contains("alert.resolved"), "{lines}");
-        let diags = ideaflow_trace::schema::lint_jsonl(&lines);
+        let events = journal.drain_events();
+        let steps: Vec<&str> = events.iter().map(|e| e.step.as_str()).collect();
+        assert!(steps.contains(&"alert.fired"), "{steps:?}");
+        assert!(steps.contains(&"alert.resolved"), "{steps:?}");
+        let diags: Vec<String> = events
+            .iter()
+            .flat_map(ideaflow_trace::schema::lint_event)
+            .collect();
         assert!(diags.is_empty(), "{diags:?}");
     }
 

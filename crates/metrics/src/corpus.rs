@@ -112,7 +112,7 @@ mod tests {
     fn memory_and_file_journals_rebuild_what_run_logged_returned() {
         let memory = Journal::in_memory("corpus");
         let expected = journaled_runs(memory.clone());
-        let events = parse_jsonl(&memory.drain_lines().join("\n")).unwrap();
+        let events = memory.drain_events();
         assert_eq!(from_events(&events), expected);
 
         let path = std::env::temp_dir().join(format!("corpus_{}.ifj", std::process::id()));
@@ -159,7 +159,7 @@ mod tests {
                     journal.emit(&format!("flow.step.{}", r.step.name()), &fields);
                 }
             }
-            let events = parse_jsonl(&journal.drain_lines().join("\n")).unwrap();
+            let events = journal.drain_events();
             assert!(events
                 .iter()
                 .any(|e| e.payload.get("wns_ps") == Some(&PayloadValue::Null)));

@@ -70,7 +70,7 @@ mod tests {
     use ideaflow_flow::options::SpnrOptions;
     use ideaflow_flow::spnr::SpnrFlow;
     use ideaflow_netlist::generate::{DesignClass, DesignSpec};
-    use ideaflow_trace::{parse_jsonl, Journal};
+    use ideaflow_trace::Journal;
 
     #[test]
     fn closed_loop_converges_to_a_passing_target() {
@@ -98,8 +98,7 @@ mod tests {
             };
             let opts = SpnrOptions::with_target_ghz(probe.min(20.0)).unwrap();
             let _ = flow.run_logged(&opts, i);
-            let events = parse_jsonl(&journal.drain_lines().join("\n")).unwrap();
-            collected.extend(corpus::from_events(&events));
+            collected.extend(corpus::from_events(&journal.drain_events()));
             target = targeter.next_target_ghz(&collected).min(20.0);
         }
         // The adapted target should be near (just under) the achievable

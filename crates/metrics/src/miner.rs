@@ -83,75 +83,6 @@ pub fn sensitivity(
     })
 }
 
-/// A fitted QoR predictor over option columns, used to recommend the best
-/// option setting among candidates ("best tool option settings").
-#[derive(Debug, Clone)]
-pub struct OptionRecommender {
-    model: RidgeRegression,
-    /// Whether larger predicted targets are better.
-    maximize: bool,
-}
-
-impl OptionRecommender {
-    /// Fits from the corpus's complete runs.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`sensitivity`].
-    pub fn fit(
-        corpus: &[StepRecord],
-        input_columns: &[(FlowStep, &str)],
-        target_column: (FlowStep, &str),
-        maximize: bool,
-    ) -> Result<Self, MetricsError> {
-        let mut all = input_columns.to_vec();
-        all.push(target_column);
-        let (_ids, rows) = run_matrix(corpus, &all)?;
-        if rows.len() < 3 {
-            return Err(MetricsError::NoData {
-                detail: format!("need at least 3 complete runs, have {}", rows.len()),
-            });
-        }
-        let xs: Vec<Vec<f64>> = rows
-            .iter()
-            .map(|r| r[..input_columns.len()].to_vec())
-            .collect();
-        let ys: Vec<f64> = rows.iter().map(|r| r[input_columns.len()]).collect();
-        let model =
-            RidgeRegression::fit(&xs, &ys, 1e-6).map_err(|e| MetricsError::InvalidParameter {
-                name: "regression",
-                detail: e.to_string(),
-            })?;
-        Ok(Self { model, maximize })
-    }
-
-    /// Predicted QoR for one candidate option row.
-    #[must_use]
-    pub fn predict(&self, option_row: &[f64]) -> f64 {
-        self.model.predict(option_row)
-    }
-
-    /// Index of the best candidate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetricsError::NoData`] on an empty candidate list.
-    pub fn recommend(&self, candidates: &[Vec<f64>]) -> Result<usize, MetricsError> {
-        if candidates.is_empty() {
-            return Err(MetricsError::NoData {
-                detail: "no candidates".into(),
-            });
-        }
-        let scored = candidates.iter().map(|c| self.predict(c)).enumerate();
-        let best = if self.maximize {
-            scored.max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
-        } else {
-            scored.min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
-        };
-        Ok(best.expect("non-empty candidates").0)
-    }
-}
-
 /// Prescribes an achievable clock frequency for a design: fits
 /// `wns(target)` across collected runs and returns the highest target
 /// whose predicted WNS is ≥ `margin_ps`.
@@ -209,7 +140,7 @@ mod tests {
     use ideaflow_flow::options::SpnrOptions;
     use ideaflow_flow::spnr::SpnrFlow;
     use ideaflow_netlist::generate::{DesignClass, DesignSpec};
-    use ideaflow_trace::{parse_jsonl, Journal};
+    use ideaflow_trace::Journal;
 
     fn journaled_corpus() -> (Vec<StepRecord>, SpnrFlow) {
         let journal = Journal::in_memory("miner");
@@ -224,8 +155,7 @@ mod tests {
             opts.utilization = 0.6 + 0.05 * (i % 4) as f64;
             let _ = flow.run_logged(&opts, i as u32);
         }
-        let events = parse_jsonl(&journal.drain_lines().join("\n")).unwrap();
-        (corpus::from_events(&events), flow)
+        (corpus::from_events(&journal.drain_events()), flow)
     }
 
     #[test]
@@ -249,22 +179,6 @@ mod tests {
             .position(|n| n == "signoff.target_ghz")
             .unwrap();
         assert!(s.effects[tf] < 0.0);
-    }
-
-    #[test]
-    fn recommender_picks_lower_frequency_for_wns() {
-        let (corpus, flow) = journaled_corpus();
-        let rec = OptionRecommender::fit(
-            &corpus,
-            &[(FlowStep::Signoff, "target_ghz")],
-            (FlowStep::Signoff, "wns_ps"),
-            true, // maximize slack
-        )
-        .unwrap();
-        let fmax = flow.fmax_ref_ghz();
-        let candidates = vec![vec![fmax * 0.5], vec![fmax * 0.9], vec![fmax * 1.2]];
-        assert_eq!(rec.recommend(&candidates).unwrap(), 0);
-        assert!(rec.recommend(&[]).is_err());
     }
 
     #[test]

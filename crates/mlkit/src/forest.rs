@@ -90,12 +90,6 @@ impl RandomForest {
     pub fn predict(&self, x: &[f64]) -> f64 {
         self.trees.iter().map(|t| t.predict(x)).sum::<f64>() / self.trees.len() as f64
     }
-
-    /// Batch prediction.
-    #[must_use]
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|r| self.predict(r)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -136,8 +130,10 @@ mod tests {
         )
         .unwrap();
         let forest = RandomForest::fit(&xs, &ys, ForestConfig::default()).unwrap();
-        let tree_rmse = rmse(&tree.predict_batch(&txs), &tys);
-        let forest_rmse = rmse(&forest.predict_batch(&txs), &tys);
+        let tree_pred: Vec<f64> = txs.iter().map(|r| tree.predict(r)).collect();
+        let forest_pred: Vec<f64> = txs.iter().map(|r| forest.predict(r)).collect();
+        let tree_rmse = rmse(&tree_pred, &tys);
+        let forest_rmse = rmse(&forest_pred, &tys);
         assert!(
             forest_rmse <= tree_rmse * 1.05,
             "forest {forest_rmse} vs tree {tree_rmse}"

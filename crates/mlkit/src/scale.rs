@@ -94,12 +94,6 @@ impl StandardScaler {
             .map(|((v, m), s)| (v - m) / s)
             .collect()
     }
-
-    /// Fitted per-column standard deviations (1.0 for constant columns).
-    #[must_use]
-    pub fn stds(&self) -> &[f64] {
-        &self.stds
-    }
 }
 
 #[cfg(test)]
@@ -126,8 +120,9 @@ mod tests {
     fn constant_column_is_centred_not_scaled() {
         let xs = vec![vec![5.0], vec![5.0], vec![5.0]];
         let s = StandardScaler::fit(&xs).unwrap();
-        assert_eq!(s.stds(), &[1.0]);
         assert_eq!(s.transform_row(&[5.0]), vec![0.0]);
+        // A constant column's std is taken as 1: centred, not scaled.
+        assert_eq!(s.transform_row(&[7.0]), vec![2.0]);
     }
 
     #[test]

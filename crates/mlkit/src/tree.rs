@@ -124,12 +124,6 @@ impl RegressionTree {
         }
     }
 
-    /// Batch prediction.
-    #[must_use]
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|r| self.predict(r)).collect()
-    }
-
     /// Number of leaves (model complexity measure).
     #[must_use]
     pub fn leaf_count(&self) -> usize {

@@ -146,9 +146,6 @@ pub enum VtFlavor {
 }
 
 impl VtFlavor {
-    /// All flavours fastest-first.
-    pub const ALL: [VtFlavor; 3] = [VtFlavor::LowVt, VtFlavor::StdVt, VtFlavor::HighVt];
-
     /// Multiplier on cell delay.
     #[must_use]
     pub fn delay_factor(self) -> f64 {
@@ -248,52 +245,6 @@ impl fmt::Display for LibCell {
     }
 }
 
-/// The full synthetic library: every kind × drive × VT combination.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Library {
-    cells: Vec<LibCell>,
-}
-
-impl Library {
-    /// Builds the complete 14nm-like library (10 kinds × 4 drives × 3 VTs).
-    #[must_use]
-    pub fn standard_14nm() -> Self {
-        let mut cells = Vec::new();
-        for kind in CellKind::ALL {
-            for drive in [1u8, 2, 4, 8] {
-                for vt in VtFlavor::ALL {
-                    cells.push(LibCell { kind, drive, vt });
-                }
-            }
-        }
-        Self { cells }
-    }
-
-    /// All cells.
-    #[must_use]
-    pub fn cells(&self) -> &[LibCell] {
-        &self.cells
-    }
-
-    /// Number of cells in the library.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the library is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-}
-
-impl Default for Library {
-    fn default() -> Self {
-        Self::standard_14nm()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,13 +300,6 @@ mod tests {
         assert!(LibCell::new(CellKind::Inv, 3, VtFlavor::StdVt).is_err());
         assert!(LibCell::new(CellKind::Inv, 0, VtFlavor::StdVt).is_err());
         assert!(LibCell::new(CellKind::Inv, 16, VtFlavor::StdVt).is_err());
-    }
-
-    #[test]
-    fn library_is_complete() {
-        let lib = Library::standard_14nm();
-        assert_eq!(lib.len(), 10 * 4 * 3);
-        assert!(!lib.is_empty());
     }
 
     #[test]

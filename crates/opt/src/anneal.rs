@@ -228,8 +228,9 @@ mod tests {
         let plain = simulated_annealing(&l, start, cfg, 4);
         assert_eq!(out.best_cost, plain.best_cost);
 
-        let lines = journal.drain_lines().join("\n");
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: journal.drain_events(),
+        };
         let runs = reader.events_for_step("anneal.run");
         assert_eq!(runs.len(), 1);
         let obj = runs[0].payload.as_object().unwrap();

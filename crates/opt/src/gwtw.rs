@@ -451,8 +451,9 @@ mod tests {
         let plain = gwtw(&l, small_cfg(), 3);
         assert_eq!(out.best.best_cost, plain.best.best_cost);
 
-        let lines = journal.drain_lines().join("\n");
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: journal.drain_events(),
+        };
         let per_round = reader.events_for_step("gwtw.round");
         assert_eq!(per_round.len(), small_cfg().rounds);
         assert_eq!(reader.events_for_step("gwtw.run").len(), 1);

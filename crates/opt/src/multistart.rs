@@ -363,8 +363,9 @@ mod tests {
         let plain = random_multistart(&l, cfg(12), 4);
         assert_eq!(out.best.best_cost, plain.best.best_cost);
 
-        let lines = journal.drain_lines().join("\n");
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: journal.drain_events(),
+        };
         let starts = reader.events_for_step("multistart.start");
         assert_eq!(starts.len(), 12);
         let summary = reader.field_stats("multistart.run", "best_cost").unwrap();
@@ -424,8 +425,9 @@ mod tests {
         let again = random_multistart(&l, cfg(16), 4);
         assert_eq!(again.minima.len(), out.minima.len());
         assert_eq!(again.best.best_cost.to_bits(), out.best.best_cost.to_bits());
-        let lines = journal.drain_lines().join("\n");
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: journal.drain_events(),
+        };
         assert_eq!(
             reader.events_for_step("multistart.failed").len(),
             16 - out.minima.len()
@@ -445,8 +447,9 @@ mod tests {
         let journal = Journal::in_memory("flaky-ams");
         let out = adaptive_multistart_journaled(&l, cfg(16), 4, &journal);
         assert!(!out.minima.is_empty());
-        let lines = journal.drain_lines().join("\n");
-        let reader = ideaflow_trace::JournalReader::from_jsonl(&lines).unwrap();
+        let reader = ideaflow_trace::JournalReader {
+            events: journal.drain_events(),
+        };
         assert_eq!(
             out.minima.len() + reader.events_for_step("multistart.failed").len(),
             16

@@ -9,8 +9,7 @@
 //! - [`floorplan`]: die/core geometry from target utilization.
 //! - [`placement`]: legal slot-grid placements and HPWL wirelength.
 //! - [`placer`]: random, partition-seeded and annealing placers, with an
-//!   incremental-HPWL annealer and an [`ideaflow_opt::Landscape`] adapter
-//!   so GWTW/multistart can orchestrate real placement.
+//!   incremental-HPWL annealer.
 //! - [`cts`]: clock-tree synthesis over the placed flops.
 //! - [`guardband`]: the noise → margin → iterations model that the Fig 4
 //!   harness sweeps.

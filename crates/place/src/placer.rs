@@ -1,5 +1,5 @@
 //! Placement algorithms: random, partition-seeded, and simulated-annealing
-//! with incremental HPWL, plus an [`ideaflow_opt::Landscape`] adapter.
+//! with incremental HPWL.
 
 use crate::floorplan::Floorplan;
 use crate::placement::{net_hpwl, total_hpwl, Placement};
@@ -226,50 +226,6 @@ pub fn anneal_placement(
     }
 }
 
-/// Adapter exposing placement as an [`ideaflow_opt::Landscape`] so the
-/// generic orchestrators (GWTW, adaptive multistart) can drive real
-/// physical design. Cost is total HPWL; use on small designs (full HPWL is
-/// recomputed per probe).
-#[derive(Debug)]
-pub struct PlacementLandscape<'a> {
-    netlist: &'a Netlist,
-    fp: &'a Floorplan,
-}
-
-impl<'a> PlacementLandscape<'a> {
-    /// Creates the adapter.
-    #[must_use]
-    pub fn new(netlist: &'a Netlist, fp: &'a Floorplan) -> Self {
-        Self { netlist, fp }
-    }
-}
-
-impl ideaflow_opt::Landscape for PlacementLandscape<'_> {
-    type State = Placement;
-
-    fn random_state(&self, rng: &mut StdRng) -> Placement {
-        let seed = rng.gen::<u64>();
-        random_placement(self.netlist, self.fp, seed).expect("floorplan sized for netlist")
-    }
-
-    fn cost(&self, state: &Placement) -> f64 {
-        total_hpwl(self.netlist, self.fp, state)
-    }
-
-    fn neighbor(&self, state: &Placement, rng: &mut StdRng) -> Placement {
-        let mut next = state.clone();
-        let n = next.slot.len();
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        next.slot.swap(a, b);
-        next
-    }
-
-    fn distance(&self, a: &Placement, b: &Placement) -> f64 {
-        a.slot.iter().zip(&b.slot).filter(|(x, y)| x != y).count() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,27 +296,6 @@ mod tests {
         let b = anneal_placement(&nl, &fp, start, cfg, 11);
         assert_eq!(a.hpwl_um, b.hpwl_um);
         assert_eq!(a.placement, b.placement);
-    }
-
-    #[test]
-    fn landscape_adapter_works_with_generic_local_search() {
-        let (nl, fp) = setup(80);
-        let scape = PlacementLandscape::new(&nl, &fp);
-        let mut rng = StdRng::seed_from_u64(3);
-        use ideaflow_opt::Landscape;
-        let start = scape.random_state(&mut rng);
-        let start_cost = scape.cost(&start);
-        let out = ideaflow_opt::local::local_search(
-            &scape,
-            start,
-            ideaflow_opt::local::LocalSearchConfig {
-                max_evaluations: 2_000,
-                stall_limit: 500,
-            },
-            4,
-        );
-        assert!(out.best_cost < start_cost);
-        out.best_state.validate(&nl, &fp).unwrap();
     }
 
     #[test]

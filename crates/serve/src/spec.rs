@@ -62,24 +62,51 @@ pub struct CampaignSpec {
     pub raw: Value,
 }
 
-fn get_usize(v: &Value, key: &str, default: usize) -> Result<usize, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(Value::Int(i)) if *i >= 0 => Ok(*i as usize),
-        Some(other) => Err(format!(
-            "{key}: expected a non-negative integer, got {other:?}"
-        )),
+/// The most characters of a client-supplied name (an unknown kind or
+/// field) an error message quotes. `http_api::submit` answers with the
+/// message, so a 400 stays small whatever the body: even a name of
+/// control characters, each quoted as `\u{..}`, fits in 256 bytes.
+const MAX_ECHO: usize = 16;
+
+/// `name`, quoted, cut to [`MAX_ECHO`] characters.
+fn echo(name: &str) -> String {
+    let mut chars = name.chars();
+    let head: String = chars.by_ref().take(MAX_ECHO).collect();
+    let cut = if chars.next().is_some() { "..." } else { "" };
+    format!("{head:?}{cut}")
+}
+
+/// What a rejected value is, for an error message: its kind, never the
+/// value, which can be as large as the body.
+fn kind_of(v: &Value) -> &'static str {
+    match v {
+        Value::Null => "null",
+        Value::Bool(_) => "a boolean",
+        Value::Int(i) if *i < 0 => "a negative integer",
+        Value::Int(_) => "an integer",
+        Value::Float(f) if f.is_finite() => "a float",
+        Value::Float(_) => "a non-finite number",
+        Value::Str(_) => "a string",
+        Value::Array(_) => "an array",
+        Value::Object(_) => "an object",
     }
 }
 
-fn get_u64(v: &Value, key: &str, default: u64) -> Result<u64, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(Value::Int(i)) if *i >= 0 => Ok(*i as u64),
-        Some(other) => Err(format!(
-            "{key}: expected a non-negative integer, got {other:?}"
-        )),
+/// The non-negative integer at `key` as a `T`, or `default` when the
+/// key is absent.
+fn get_uint<T: TryFrom<i64>>(v: &Value, key: &str, default: T) -> Result<T, String> {
+    let Some(found) = v.get(key) else {
+        return Ok(default);
+    };
+    if let Value::Int(i) = found {
+        if let Ok(x) = T::try_from(*i) {
+            return Ok(x);
+        }
     }
+    Err(format!(
+        "{key}: expected a non-negative integer, got {}",
+        kind_of(found)
+    ))
 }
 
 fn get_f64(v: &Value, key: &str, default: f64) -> Result<f64, String> {
@@ -87,19 +114,25 @@ fn get_f64(v: &Value, key: &str, default: f64) -> Result<f64, String> {
         None => Ok(default),
         Some(Value::Float(f)) if f.is_finite() => Ok(*f),
         Some(Value::Int(i)) => Ok(*i as f64),
-        Some(other) => Err(format!("{key}: expected a finite number, got {other:?}")),
+        Some(other) => Err(format!(
+            "{key}: expected a finite number, got {}",
+            kind_of(other)
+        )),
     }
 }
 
 impl CampaignSpec {
     /// Parses a submission body. `{"kind": "chaos", ...}` selects the
     /// campaign; unknown keys are rejected so typos fail loudly at
-    /// submit time rather than silently running defaults.
+    /// submit time rather than silently running defaults, and so is a
+    /// repeated key, which readers of the journaled body could resolve
+    /// differently (this parser reads the first entry).
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for a non-object body, missing
-    /// or unknown `kind`, unknown keys, or out-of-range parameters.
+    /// Returns a human-readable message of at most 256 bytes for a
+    /// non-object body, missing or unknown `kind`, unknown or repeated
+    /// keys, or out-of-range parameters.
     pub fn from_value(v: &Value) -> Result<Self, String> {
         let obj = v.as_object().ok_or("body must be a JSON object")?;
         let kind_name = v
@@ -111,18 +144,26 @@ impl CampaignSpec {
             "gwtw" => &["kind", "dim", "seed"],
             "multistart" => &["kind", "dim", "starts", "seed"],
             "bandit" => &["kind", "instances", "seed"],
-            other => return Err(format!("unknown campaign kind: {other:?}")),
+            other => return Err(format!("unknown campaign kind: {}", echo(other))),
         };
-        for (key, _) in obj {
+        for (i, (key, _)) in obj.iter().enumerate() {
             if !allowed.contains(&key.as_str()) {
-                return Err(format!("unknown field for kind {kind_name:?}: {key}"));
+                return Err(format!(
+                    "unknown field for kind {kind_name:?}: {}",
+                    echo(key)
+                ));
+            }
+            // Every earlier key is allowed too, so this scan stops within
+            // `allowed.len()` entries however many keys the body holds.
+            if obj[..i].iter().any(|(k, _)| k == key) {
+                return Err(format!("repeated key `{key}`"));
             }
         }
         let kind = match kind_name {
             "chaos" => {
                 let defaults =
                     ideaflow_bench::experiments::fig06_orchestration::ChaosConfig::default();
-                let rounds = get_usize(v, "rounds", defaults.rounds)?;
+                let rounds = get_uint(v, "rounds", defaults.rounds)?;
                 if rounds == 0 || rounds > 64 {
                     return Err(format!("rounds must be in 1..=64, got {rounds}"));
                 }
@@ -132,34 +173,34 @@ impl CampaignSpec {
                 }
                 CampaignKind::Chaos {
                     rounds,
-                    seed: get_u64(v, "seed", defaults.seed)?,
+                    seed: get_uint(v, "seed", defaults.seed)?,
                     fault_rate,
                 }
             }
             "gwtw" => CampaignKind::Gwtw {
-                dim: bounded_dim(get_usize(v, "dim", 8)?)?,
-                seed: get_u64(v, "seed", 0)?,
+                dim: bounded_dim(get_uint(v, "dim", 8)?)?,
+                seed: get_uint(v, "seed", 0)?,
             },
             "multistart" => CampaignKind::Multistart {
-                dim: bounded_dim(get_usize(v, "dim", 8)?)?,
+                dim: bounded_dim(get_uint(v, "dim", 8)?)?,
                 starts: {
-                    let s = get_usize(v, "starts", 16)?;
+                    let s = get_uint(v, "starts", 16)?;
                     if s == 0 || s > 256 {
                         return Err(format!("starts must be in 1..=256, got {s}"));
                     }
                     s
                 },
-                seed: get_u64(v, "seed", 0)?,
+                seed: get_uint(v, "seed", 0)?,
             },
             "bandit" => CampaignKind::Bandit {
                 instances: {
-                    let n = get_usize(v, "instances", 200)?;
+                    let n = get_uint(v, "instances", 200)?;
                     if !(50..=2000).contains(&n) {
                         return Err(format!("instances must be in 50..=2000, got {n}"));
                     }
                     n
                 },
-                seed: get_u64(v, "seed", 0)?,
+                seed: get_uint(v, "seed", 0)?,
             },
             _ => unreachable!("kind validated above"),
         };
@@ -254,6 +295,40 @@ mod tests {
         assert!(parse(r#"{"kind": "gwtw", "dim": 1}"#)
             .unwrap_err()
             .contains("dim"));
+        assert_eq!(
+            parse(r#"{"kind": "gwtw", "dim": 4, "dim": 9999}"#).unwrap_err(),
+            "repeated key `dim`"
+        );
+        assert_eq!(
+            parse(r#"{"kind": "gwtw", "kind": "chaos"}"#).unwrap_err(),
+            "repeated key `kind`"
+        );
+    }
+
+    #[test]
+    fn a_rejection_stays_small_whatever_the_body() {
+        // 240,025 bytes: a dim of 120,001 zeros.
+        let zeros = vec!["0"; 120_001].join(",");
+        let body = format!(r#"{{"kind":"gwtw","dim":[{zeros}]}}"#);
+        assert_eq!(body.len(), 240_025);
+        assert_eq!(
+            parse(&body).unwrap_err(),
+            "dim: expected a non-negative integer, got an array"
+        );
+        let long = r"\u0001".repeat(10_000);
+        let kind = parse(&format!(r#"{{"kind":"{long}"}}"#)).unwrap_err();
+        assert!(
+            kind.starts_with(r#"unknown campaign kind: "\u{1}"#),
+            "{kind}"
+        );
+        let field = parse(&format!(r#"{{"kind":"gwtw","{long}":1}}"#)).unwrap_err();
+        assert!(
+            field.starts_with("unknown field for kind \"gwtw\""),
+            "{field}"
+        );
+        for err in [kind, field] {
+            assert!(err.len() <= 256, "{} bytes", err.len());
+        }
     }
 
     #[test]
@@ -328,7 +403,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
         /// Trees built in memory skip the JSON parser's 64-level bound,
-        /// so they nest well past it here.
+        /// so they nest well past it here. Every rejection fits in 256
+        /// bytes, and every body with a repeated key is rejected.
         #[test]
         fn from_value_never_panics_and_holds_its_ranges(
             kind in 0usize..5,
@@ -346,17 +422,28 @@ mod tests {
                     entries.push(((*key).to_owned(), v));
                 }
             }
-            // Sometimes one more key, allowed for some other kind or none.
-            if let Some(key) = ["kind", "rounds", "starts", "instances", "x"].get(extra) {
+            // Sometimes one more key: a repeat of `kind` or of one of
+            // this kind's keys, a key of some other kind, an unknown one,
+            // or one too long to quote whole.
+            let long = "\u{1}".repeat(40);
+            if let Some(key) = ["kind", "rounds", "starts", "instances", "x", &long].get(extra) {
                 let v = value_of(types[3], edges[3], depth, shape);
                 entries.push(((*key).to_owned(), v));
             }
+            let repeated = entries
+                .iter()
+                .enumerate()
+                .any(|(i, (key, _))| entries[..i].iter().any(|(k, _)| k == key));
             let body = Value::Object(entries);
             for v in [nest(depth, shape, body.clone()), body] {
-                if let Ok(spec) = CampaignSpec::from_value(&v) {
-                    assert_documented_ranges(&spec);
-                    // Verbatim, NaN included (which `==` cannot see).
-                    prop_assert_eq!(format!("{:?}", spec.raw), format!("{v:?}"));
+                match CampaignSpec::from_value(&v) {
+                    Ok(spec) => {
+                        prop_assert!(!repeated, "a repeated key was accepted");
+                        assert_documented_ranges(&spec);
+                        // Verbatim, NaN included (which `==` cannot see).
+                        prop_assert_eq!(format!("{:?}", spec.raw), format!("{v:?}"));
+                    }
+                    Err(e) => prop_assert!(e.len() <= 256, "{} bytes: {:.300}", e.len(), e),
                 }
             }
         }

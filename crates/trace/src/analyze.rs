@@ -696,8 +696,7 @@ mod tests {
     /// Feeds the journal's drained events to `ingest`, in order — the
     /// in-memory form of `ifjournal`'s fold over an `EventStream`.
     fn feed(j: &Journal, ingest: impl FnMut(&RunEvent)) {
-        let events = crate::parse_jsonl(&j.drain_lines().join("\n")).unwrap();
-        events.iter().for_each(ingest);
+        j.drain_events().iter().for_each(ingest);
     }
 
     fn summary(j: &Journal) -> SummaryBuilder {

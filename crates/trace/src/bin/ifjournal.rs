@@ -51,7 +51,7 @@
 
 use ideaflow_trace::schema::SchemaDiagnostic;
 use ideaflow_trace::{analyze, codec, grafana, schema};
-use ideaflow_trace::{DecodeError, EventStream, RunEvent, StreamDecoder};
+use ideaflow_trace::{EventStream, RunEvent, StreamDecoder};
 
 const USAGE: &str = "usage: ifjournal <summary|tail|diff|flame|convert|lint|watch|grafana> ...
   ifjournal summary [--by-thread|--failures] <journal>
@@ -236,66 +236,50 @@ fn lint(args: &[String]) -> i32 {
         eprintln!("{USAGE}");
         return 2;
     };
-    use std::io::Read;
-    let mut file = match std::fs::File::open(path) {
-        Ok(f) => f,
+    let stream = match EventStream::open(path) {
+        Ok(s) => s,
         Err(e) => {
             eprintln!("ifjournal: {path}: {e}");
             return 1;
         }
     };
-    let mut dec = StreamDecoder::new();
     let mut diags: Vec<SchemaDiagnostic> = Vec::new();
-    let mut version_checked = false;
-    let mut eof = false;
-    let mut chunk = vec![0u8; 64 * 1024];
-    let mut check = |event: &RunEvent, line: usize, diags: &mut Vec<SchemaDiagnostic>| {
-        if !version_checked {
-            version_checked = true;
+    let mut records = 0;
+    for event in stream {
+        // Records are numbered from 1; a decode failure takes the number
+        // of the record it stopped, and ends the stream.
+        records += 1;
+        let event = match event {
+            Ok(event) => event,
+            Err(e) => {
+                diags.push(SchemaDiagnostic {
+                    line: records,
+                    event: String::new(),
+                    message: e.to_string(),
+                });
+                break;
+            }
+        };
+        if records == 1 {
             // Cross-version corpora are suspicious but not invalid:
             // warn on a missing or stale schema-hash header, fail only
             // on real findings.
-            if let Some(warning) = schema::version_warning(Some(event)) {
+            if let Some(warning) = schema::version_warning(Some(&event)) {
                 eprintln!("ifjournal: {path}: warning: {warning}");
             }
         }
         diags.extend(
-            schema::lint_event(event)
+            schema::lint_event(&event)
                 .into_iter()
                 .map(|message| SchemaDiagnostic {
-                    line,
+                    line: records,
                     event: event.step.clone(),
                     message,
                 }),
         );
-    };
-    loop {
-        match dec.next_event() {
-            Ok(Some(event)) => check(&event, dec.records() as usize, &mut diags),
-            Ok(None) if eof => {
-                if let Err(e) = dec.finish() {
-                    diags.push(decode_diag(&dec, e));
-                }
-                break;
-            }
-            Ok(None) => match file.read(&mut chunk) {
-                Ok(0) => eof = true,
-                Ok(n) => dec.push(&chunk[..n]),
-                Err(e) => {
-                    eprintln!("ifjournal: {path}: {e}");
-                    return 1;
-                }
-            },
-            Err(e) => {
-                // A corrupt frame ends the decodable prefix.
-                diags.push(decode_diag(&dec, e));
-                break;
-            }
-        }
     }
     if diags.is_empty() {
-        let events = dec.records();
-        println!("{path}: ok ({events} events conform to the schema registry)");
+        println!("{path}: ok ({records} events conform to the schema registry)");
         return 0;
     }
     for d in &diags {
@@ -308,16 +292,6 @@ fn lint(args: &[String]) -> i32 {
         diags.len()
     );
     1
-}
-
-/// A decode failure as a lint diagnostic, anchored at the record it
-/// stopped.
-fn decode_diag(dec: &StreamDecoder, e: DecodeError) -> SchemaDiagnostic {
-    SchemaDiagnostic {
-        line: dec.records() as usize + 1,
-        event: String::new(),
-        message: e.to_string(),
-    }
 }
 
 fn watch(args: &[String]) -> i32 {

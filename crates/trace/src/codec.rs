@@ -1,12 +1,12 @@
 //! The journal's one encoding: length-prefixed binary frames with
 //! interned names, and the streaming decoder every reader shares.
 //!
-//! Every [`crate::Journal`] sink writes these bytes: a file journal to
-//! disk, an in-memory journal into a decoder that
-//! [`crate::Journal::drain_lines`] renders. JSONL is only a rendering of
+//! [`crate::Journal`] is the one writer: a file journal writes these
+//! bytes to disk, an in-memory journal into a decoder that
+//! [`crate::Journal::drain_events`] reads. JSONL is only a rendering of
 //! decoded events (`ifjournal convert`, the daemon's follow stream,
-//! `drain_lines`); nothing reads it back as a journal. A file holds
-//! three frame kinds after the [`MAGIC`] bytes:
+//! `Journal::drain_lines`); in-process readers take decoded events. A
+//! file holds three frame kinds after the [`MAGIC`] bytes:
 //!
 //! - **dict**: defines interned name ids (event/step/field names). A
 //!   base dictionary derived from the schema registry is written right
@@ -19,10 +19,13 @@
 //!   ordered writer. Carries a sync marker (so a reader can find index
 //!   frames by scanning backwards from EOF without any footer), the
 //!   byte offset (self-validating), the record count and seq range of
-//!   the preceding block, the step names seen in it, and a full
-//!   snapshot of the dynamic dictionary — everything a reader needs to
-//!   resume decoding mid-file. `tail` on a million-record corpus reads
-//!   the last blocks instead of the whole file.
+//!   the preceding block, a step list, and a full snapshot of the
+//!   dynamic dictionary — everything a reader needs to resume decoding
+//!   mid-file. `tail` on a million-record corpus reads the last blocks
+//!   instead of the whole file. No reader uses the seq range or the
+//!   step list: the writer always writes the list empty, and readers
+//!   skip whatever list a frame carries, so journals written with
+//!   non-empty lists still decode.
 //!
 //! Every frame is `varint(body_len)` + body, bounded by [`MAX_FRAME`],
 //! so a corrupt length yields a typed error instead of an unbounded
@@ -455,31 +458,25 @@ pub fn header_bytes(base: &[String]) -> Vec<u8> {
     out
 }
 
-/// Running block statistics for the single ordered writer: what the
-/// next index frame will describe. `lib.rs` keeps one in the sink
-/// state; [`BinaryWriter`] keeps one for single-threaded rewrites.
+/// Running block statistics for the single ordered writer (the sink
+/// state in `lib.rs`): what the next index frame will describe.
 #[derive(Default)]
 pub struct BlockTracker {
     records_total: u64,
     since_index: u64,
     first_seq: u64,
     last_seq: u64,
-    steps: Vec<String>,
 }
 
 impl BlockTracker {
     /// Accounts one written record frame.
-    pub fn on_record(&mut self, seq: u64, step: &str) {
+    pub fn on_record(&mut self, seq: u64) {
         if self.since_index == 0 {
             self.first_seq = seq;
-            self.steps.clear();
         }
         self.records_total += 1;
         self.since_index += 1;
         self.last_seq = seq;
-        if !self.steps.iter().any(|s| s == step) {
-            self.steps.push(step.to_owned());
-        }
     }
 
     /// Builds an index frame if one is due (or `force`d and the block is
@@ -504,11 +501,7 @@ impl BlockTracker {
         put_varint(&mut body, self.records_total);
         put_varint(&mut body, self.first_seq);
         put_varint(&mut body, self.last_seq);
-        put_varint(&mut body, self.steps.len() as u64);
-        for step in &self.steps {
-            put_varint(&mut body, step.len() as u64);
-            body.extend_from_slice(step.as_bytes());
-        }
+        put_varint(&mut body, 0); // the step list, always empty
         put_varint(&mut body, u64::from(table.base_len()));
         put_varint(&mut body, dynamic.len() as u64);
         for name in &dynamic {
@@ -520,7 +513,6 @@ impl BlockTracker {
         let sync_pos = pos + varint_len(body.len() as u64) as u64 + 1;
         body[9..17].copy_from_slice(&sync_pos.to_le_bytes());
         self.since_index = 0;
-        self.steps.clear();
         Some(frame(body))
     }
 }
@@ -731,7 +723,6 @@ pub struct StreamDecoder {
     pos: u64,
     names: Names,
     seen_magic: bool,
-    records: u64,
 }
 
 impl Default for StreamDecoder {
@@ -750,7 +741,6 @@ impl StreamDecoder {
             pos: 0,
             names: Names::default(),
             seen_magic: false,
-            records: 0,
         }
     }
 
@@ -764,7 +754,6 @@ impl StreamDecoder {
             pos,
             names,
             seen_magic: true,
-            records: 0,
         }
     }
 
@@ -775,12 +764,6 @@ impl StreamDecoder {
             self.consumed = 0;
         }
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Records decoded so far (1-based ordinal of the last yielded).
-    #[must_use]
-    pub fn records(&self) -> u64 {
-        self.records
     }
 
     fn pending(&self) -> &[u8] {
@@ -838,10 +821,7 @@ impl StreamDecoder {
             self.consumed += consumed_now;
             self.pos += consumed_now as u64;
             match result {
-                Ok(Some(event)) => {
-                    self.records += 1;
-                    return Ok(Some(event));
-                }
+                Ok(Some(event)) => return Ok(Some(event)),
                 Ok(None) => {} // dict or index frame: absorbed, keep going
                 Err(detail) => {
                     return Err(DecodeError::Corrupt {
@@ -926,15 +906,9 @@ impl StreamDecoder {
     }
 }
 
-/// One parsed index frame.
+/// The parts of an index frame that readers use.
 struct IndexFrame {
     records_before: u64,
-    #[allow(dead_code)]
-    first_seq: u64,
-    #[allow(dead_code)]
-    last_seq: u64,
-    #[allow(dead_code)]
-    steps: Vec<String>,
     base_len: u64,
     dynamic: Vec<String>,
     /// Offset within the body where parsing ended (== body length for
@@ -956,15 +930,16 @@ impl IndexFrame {
         }
         p += 8; // self-offset: validated by the tail scanner, not here
         let records_before = need(get_varint(body, &mut p)?, "record count")?;
-        let first_seq = need(get_varint(body, &mut p)?, "first seq")?;
-        let last_seq = need(get_varint(body, &mut p)?, "last seq")?;
+        // Skipped: the block's seq range and its step list (see the
+        // module docs).
+        need(get_varint(body, &mut p)?, "first seq")?;
+        need(get_varint(body, &mut p)?, "last seq")?;
         let nsteps = need(get_varint(body, &mut p)?, "step count")? as usize;
         if nsteps > body.len() {
             return Err("step count exceeds frame".to_owned());
         }
-        let mut steps = Vec::with_capacity(nsteps);
         for _ in 0..nsteps {
-            steps.push(decode_str(body, &mut p, "step name")?);
+            decode_str(body, &mut p, "step name")?;
         }
         let base_len = need(get_varint(body, &mut p)?, "base length")?;
         let ndyn = need(get_varint(body, &mut p)?, "dynamic count")? as usize;
@@ -977,9 +952,6 @@ impl IndexFrame {
         }
         Ok(Self {
             records_before,
-            first_seq,
-            last_seq,
-            steps,
             base_len,
             dynamic,
             parsed_len: p,
@@ -1011,12 +983,17 @@ impl EventStream {
     ///
     /// Returns the I/O error if the file cannot be opened.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(Self {
-            file: File::open(path)?,
-            dec: StreamDecoder::new(),
+        Ok(Self::reading(File::open(path)?, StreamDecoder::new()))
+    }
+
+    /// Feeds `dec` from `file`'s current position on.
+    fn reading(file: File, dec: StreamDecoder) -> Self {
+        Self {
+            file,
+            dec,
             eof: false,
             done: false,
-        })
+        }
     }
 }
 
@@ -1054,72 +1031,6 @@ impl Iterator for EventStream {
                 }
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// single-threaded binary writer (convert, corpus generation)
-// ---------------------------------------------------------------------------
-
-/// Writes pre-assigned [`RunEvent`]s to a binary journal, preserving
-/// their seq/run-id exactly: the single-threaded path for corpus
-/// generators and tests that need exact seqs. Live [`crate::Journal`]
-/// handles encode frames per worker thread instead.
-pub struct BinaryWriter<W: Write> {
-    out: W,
-    table: NameTable,
-    tn: ThreadNames,
-    pos: u64,
-    block: BlockTracker,
-}
-
-impl<W: Write> BinaryWriter<W> {
-    /// Wraps `out`, writing the magic and base dictionary immediately.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the header write fails.
-    pub fn new(mut out: W) -> std::io::Result<Self> {
-        let base = base_names();
-        let header = header_bytes(&base);
-        out.write_all(&header)?;
-        Ok(Self {
-            out,
-            table: NameTable::with_base(base),
-            tn: ThreadNames::default(),
-            pos: header.len() as u64,
-            block: BlockTracker::default(),
-        })
-    }
-
-    /// Appends one event, emitting an index frame when due.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a write fails.
-    pub fn write_event(&mut self, event: &RunEvent) -> std::io::Result<()> {
-        let frame = record_frame(&self.table, &mut self.tn, event);
-        self.out.write_all(&frame)?;
-        self.pos += frame.len() as u64;
-        self.block.on_record(event.seq, &event.step);
-        if let Some(idx) = self.block.maybe_index_frame(self.pos, &self.table, false) {
-            self.out.write_all(&idx)?;
-            self.pos += idx.len() as u64;
-        }
-        Ok(())
-    }
-
-    /// Writes the final index frame and flushes, returning the sink.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the final writes fail.
-    pub fn finish(mut self) -> std::io::Result<W> {
-        if let Some(idx) = self.block.maybe_index_frame(self.pos, &self.table, true) {
-            self.out.write_all(&idx)?;
-        }
-        self.out.flush()?;
-        Ok(self.out)
     }
 }
 
@@ -1180,8 +1091,7 @@ pub fn tail_events(
     }
 }
 
-/// [`tail_events`] by decoding every record from the start, keeping the
-/// last `n` (optionally filtered to one step) in a ring buffer.
+/// [`tail_events`] by decoding every record from the start.
 ///
 /// # Errors
 ///
@@ -1191,7 +1101,12 @@ pub fn full_scan_tail(
     step: Option<&str>,
     n: usize,
 ) -> std::io::Result<Vec<RunEvent>> {
-    let stream = EventStream::open(path)?;
+    last_n(EventStream::open(path)?, step, n)
+}
+
+/// The last `n` events of `stream` (optionally filtered to one step),
+/// kept in a ring buffer.
+fn last_n(stream: EventStream, step: Option<&str>, n: usize) -> std::io::Result<Vec<RunEvent>> {
     let mut ring: VecDeque<RunEvent> = VecDeque::with_capacity(n + 1);
     for event in stream {
         let event = event?;
@@ -1221,23 +1136,15 @@ fn indexed_tail(
     step: Option<&str>,
     n: usize,
 ) -> std::io::Result<Option<Vec<RunEvent>>> {
-    // The base dictionary lives in the header; decode it once.
+    // The base dictionary lives in the header: decoding the first
+    // record absorbs it. A torn or corrupt header is left for the full
+    // scan to report.
     file.seek(SeekFrom::Start(0))?;
-    let mut header_dec = StreamDecoder::new();
-    let base: Names = loop {
-        let mut chunk = [0u8; CHUNK];
-        let read = file.read(&mut chunk)?;
-        if read == 0 {
-            return Ok(None); // header torn: let the full scan report it
-        }
-        header_dec.push(&chunk[..read]);
-        match header_dec.next_event() {
-            // First record decoded → the dict frame has been absorbed.
-            Ok(Some(_)) => break std::mem::take(&mut header_dec.names),
-            Ok(None) => continue,
-            Err(_) => return Ok(None),
-        }
+    let mut header = EventStream::reading(file.try_clone()?, StreamDecoder::new());
+    let Some(Ok(_)) = header.next() else {
+        return Ok(None);
     };
+    let base = header.dec.names;
 
     let mut window = 1u64 << 20;
     loop {
@@ -1318,6 +1225,8 @@ fn pick_candidate(candidates: &[TailCandidate], n: usize) -> Option<&TailCandida
         .or_else(|| candidates.first())
 }
 
+/// [`last_n`] over the records after `resume_at`, decoded with the
+/// name table an index frame rebuilt.
 fn decode_from(
     file: &mut File,
     resume_at: u64,
@@ -1326,31 +1235,8 @@ fn decode_from(
     n: usize,
 ) -> std::io::Result<Vec<RunEvent>> {
     file.seek(SeekFrom::Start(resume_at))?;
-    let mut dec = StreamDecoder::resume(names, resume_at);
-    let mut ring: VecDeque<RunEvent> = VecDeque::with_capacity(n + 1);
-    let mut chunk = [0u8; CHUNK];
-    loop {
-        loop {
-            match dec.next_event() {
-                Ok(Some(event)) => {
-                    if step.is_none_or(|s| event.step == s) {
-                        if ring.len() == n {
-                            ring.pop_front();
-                        }
-                        ring.push_back(event);
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        let read = file.read(&mut chunk)?;
-        if read == 0 {
-            dec.finish().map_err(std::io::Error::from)?;
-            return Ok(ring.into_iter().collect());
-        }
-        dec.push(&chunk[..read]);
-    }
+    let dec = StreamDecoder::resume(names, resume_at);
+    last_n(EventStream::reading(file.try_clone()?, dec), step, n)
 }
 
 #[cfg(test)]
@@ -1586,34 +1472,40 @@ mod tests {
     }
 
     #[test]
-    fn binary_writer_emits_indexes_and_tail_uses_them() {
+    fn journals_write_indexes_and_tail_uses_them() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("ideaflow_codec_tail_{}.ifj", std::process::id()));
+        // Events 1..=count follow the `journal.meta` header (seq 0).
         let count = 3 * INDEX_EVERY + 100;
         {
-            let mut w =
-                BinaryWriter::new(std::io::BufWriter::new(File::create(&path).unwrap())).unwrap();
-            for i in 0..count {
-                w.write_event(&ev(
-                    "r",
+            let j = crate::Journal::to_file("r", &path).unwrap();
+            for i in 1..=count {
+                j.emit(
                     if i % 2 == 0 { "even.step" } else { "odd.step" },
-                    i,
-                    vec![("i", Value::Int(i as i64))],
-                ))
-                .unwrap();
+                    &[("i", Value::Int(i as i64)), ("pad", "x".repeat(16).into())],
+                );
             }
-            w.finish().unwrap();
         }
+        assert!(
+            std::fs::metadata(&path).unwrap().len() > 256 << 10,
+            "past the size where tail_events reads the index"
+        );
         let tail = tail_events(&path, None, 5).unwrap();
         assert_eq!(tail.len(), 5);
-        assert_eq!(tail.last().unwrap().seq, count - 1);
-        assert_eq!(tail[0].seq, count - 5);
-        let odd = tail_events(&path, Some("odd.step"), 3).unwrap();
-        assert_eq!(odd.len(), 3);
-        assert!(odd.iter().all(|e| e.step == "odd.step"));
-        assert_eq!(odd.last().unwrap().seq, count - 1);
+        assert_eq!(tail.last().unwrap().seq, count);
+        assert_eq!(tail[0].seq, count - 4);
+        let even = tail_events(&path, Some("even.step"), 3).unwrap();
+        assert_eq!(even.len(), 3);
+        assert!(even.iter().all(|e| e.step == "even.step"));
+        assert_eq!(even.last().unwrap().seq, count);
+        assert_eq!(
+            tail_events(&path, Some("even.step"), 7).unwrap(),
+            full_scan_tail(&path, Some("even.step"), 7).unwrap()
+        );
         // A step that exists only at the very start forces the
         // fall-back full scan to prove completeness.
+        let meta = tail_events(&path, Some("journal.meta"), 3).unwrap();
+        assert_eq!(meta.len(), 1);
         let none = tail_events(&path, Some("missing.step"), 3).unwrap();
         assert!(none.is_empty());
         std::fs::remove_file(&path).ok();
@@ -1623,21 +1515,21 @@ mod tests {
     fn event_stream_reads_whole_binary_files() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("ideaflow_codec_stream_{}.ifj", std::process::id()));
-        let events: Vec<RunEvent> = (0..100)
+        // Seqs start at 1: the `journal.meta` header is seq 0.
+        let events: Vec<RunEvent> = (1..=100)
             .map(|i| ev("r", "prop.event", i, vec![("i", Value::Int(i as i64))]))
             .collect();
         {
-            let mut w =
-                BinaryWriter::new(std::io::BufWriter::new(File::create(&path).unwrap())).unwrap();
+            let j = crate::Journal::to_file("r", &path).unwrap();
             for e in &events {
-                w.write_event(e).unwrap();
+                j.emit(&e.step, &[("i", e.payload.get("i").unwrap().clone())]);
             }
-            w.finish().unwrap();
         }
         let stream = EventStream::open(&path).unwrap();
         let decoded: Vec<RunEvent> = stream.map(Result::unwrap).collect();
         std::fs::remove_file(&path).ok();
-        assert_eq!(decoded, events);
+        assert_eq!(decoded[0].step, "journal.meta");
+        assert_eq!(decoded[1..], events);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! - **events**: [`RunEvent`] `{ run_id, step, seq, payload }` appended
 //!   as length-prefixed binary frames (the [`codec`]), to a file or to
 //!   memory; JSONL is what [`Journal::drain_lines`] and
-//!   `ifjournal convert` render from them;
+//!   `ifjournal convert` render from them, while in-process readers
+//!   take the decoded events;
 //! - **counters** and **histograms**: cheap in-process aggregates,
 //!   flushed as a final `journal.summary` event;
 //! - **timers**: wall-clock scopes recorded as both an event field and a
@@ -36,10 +37,11 @@
 //! whatever remains, so no event is ever lost — including events
 //! buffered by a worker that panicked.
 //!
-//! The reader half ([`Journal::load`] / [`EventStream`] /
-//! [`JournalReader`]) decodes frames back into events and computes
+//! The reader half decodes frames back into events: [`Journal::load`]
+//! and [`EventStream`] for files, [`Journal::drain_events`] for an
+//! in-memory journal. [`JournalReader`] holds either and computes
 //! per-step summary statistics, which is what downstream analysis
-//! (doomed-run prediction, bandit warm-starts) consumes.
+//! (bandit warm-starts, checkpoint resume) consumes.
 
 use std::cell::RefCell;
 use std::fs::File;
@@ -112,7 +114,7 @@ impl Deserialize for RunEvent {
 enum Sink {
     File(BufWriter<File>),
     /// The bytes a file would hold, kept in the decoder that
-    /// [`Journal::drain_lines`] renders them through.
+    /// [`Journal::drain_events`] reads them through.
     Memory(StreamDecoder),
 }
 
@@ -125,10 +127,8 @@ struct ThreadBuf {
     state: Mutex<BufState>,
 }
 
-/// One buffered record: its seq ticket, its complete record frame, and
-/// its step name, which the writer's block tracker folds into index
-/// frames.
-type BufferedFrame = (u64, Vec<u8>, String);
+/// One buffered record: its seq ticket and its complete record frame.
+type BufferedFrame = (u64, Vec<u8>);
 
 #[derive(Default)]
 struct BufState {
@@ -177,12 +177,12 @@ impl SinkState {
         // Moved out for the loop, so `self.write` can borrow `self`.
         let staged = std::mem::take(&mut self.staged);
         let mut written = 0;
-        for (seq, frame, step) in &staged {
+        for (seq, frame) in &staged {
             if !write_all && *seq != self.next_write {
                 break; // a predecessor ticket is still in flight
             }
             self.write(frame);
-            self.block.on_record(*seq, step);
+            self.block.on_record(*seq);
             if let Some(idx) = self
                 .block
                 .maybe_index_frame(self.bytes_written, names, false)
@@ -277,7 +277,7 @@ impl Inner {
                 sink.staged.append(&mut st.frames);
             }
         }
-        sink.staged.sort_unstable_by_key(|(s, _, _)| *s);
+        sink.staged.sort_unstable_by_key(|(s, _)| *s);
         sink.write_staged(&self.names, false);
     }
 
@@ -357,7 +357,7 @@ impl Journal {
 
     /// A journal keeping the bytes a file journal would hold in memory
     /// (for tests and for post-run inspection without touching the
-    /// filesystem); [`Journal::drain_lines`] renders them.
+    /// filesystem); [`Journal::drain_events`] decodes them.
     #[must_use]
     pub fn in_memory(run_id: &str) -> Self {
         Self::with_sink(run_id, |header| {
@@ -475,7 +475,7 @@ impl Journal {
         // runs under the thread's own (uncontended) buffer lock.
         let mut st = buf.state.lock();
         let frame = codec::record_frame(&inner.names, &mut st.names, &event);
-        st.frames.push((seq, frame, event.step));
+        st.frames.push((seq, frame));
         let depth = st.frames.len();
         drop(st);
         if depth >= AUTO_FLUSH_FRAMES {
@@ -614,10 +614,11 @@ impl Journal {
     }
 
     /// Takes the events written to an in-memory journal so far (after
-    /// merging thread buffers into seq order), each rendered as one JSONL
-    /// line. Empty for disabled, telemetry-only and file journals.
+    /// merging thread buffers into seq order), decoded from the frames
+    /// the sink holds. Empty for disabled, telemetry-only and file
+    /// journals.
     #[must_use]
-    pub fn drain_lines(&self) -> Vec<String> {
+    pub fn drain_events(&self) -> Vec<RunEvent> {
         let Some(inner) = self.inner.as_deref() else {
             return Vec::new();
         };
@@ -632,6 +633,12 @@ impl Journal {
             }
         }
         events
+    }
+
+    /// [`Journal::drain_events`], each event rendered as one JSONL line.
+    #[must_use]
+    pub fn drain_lines(&self) -> Vec<String> {
+        self.drain_events()
             .iter()
             .map(|e| serde_json::to_string(e).expect("events are serializable"))
             .collect()
@@ -666,7 +673,7 @@ impl Drop for Inner {
         for buf in self.buffers.get_mut().drain(..) {
             sink.staged.append(&mut buf.state.lock().frames);
         }
-        sink.staged.sort_unstable_by_key(|(s, _, _)| *s);
+        sink.staged.sort_unstable_by_key(|(s, _)| *s);
         sink.write_staged(&self.names, true);
         // Close with one final index frame so the tail of the file is
         // reachable without a full scan.
@@ -683,7 +690,9 @@ impl Drop for Inner {
 }
 
 /// Parses JSONL text — a journal's rendering by
-/// [`Journal::drain_lines`] or `ifjournal convert` — into events.
+/// [`Journal::drain_lines`], `ifjournal convert` or the daemon's follow
+/// stream — into events. In-process readers take
+/// [`Journal::drain_events`] instead.
 ///
 /// # Errors
 ///
@@ -716,22 +725,37 @@ mod tests {
         assert_eq!(j.time("t", || 41 + 1), 42);
         j.finish();
         j.flush();
-        assert!(j.drain_lines().is_empty());
+        assert!(j.drain_events().is_empty());
     }
 
     #[test]
     fn memory_journal_round_trips_events() {
+        let emit = |j: &Journal| {
+            j.emit("flow.place", &[("hpwl_um", 123.5.into())]);
+            j.emit("flow.route", &[("drv", 7u64.into()), ("ok", true.into())]);
+            j.emit(
+                "floats",
+                &[("whole", (-2.0).into()), ("nan", f64::NAN.into())],
+            );
+        };
         let j = Journal::in_memory("r0");
-        j.emit("flow.place", &[("hpwl_um", 123.5.into())]);
-        j.emit("flow.route", &[("drv", 7u64.into()), ("ok", true.into())]);
-        let lines = j.drain_lines();
-        assert_eq!(lines.len(), 2);
-        let events = parse_jsonl(&lines.join("\n")).unwrap();
+        emit(&j);
+        let events = j.drain_events();
+        assert_eq!(events.len(), 3);
         assert_eq!(events[0].run_id, "r0");
         assert_eq!(events[0].step, "flow.place");
         assert_eq!(events[0].seq, 0);
         assert_eq!(events[1].seq, 1);
         assert_eq!(events[1].payload.get("drv"), Some(&Value::Int(7)));
+        assert!(j.drain_events().is_empty(), "drained events are taken");
+        // The JSONL rendering parses back to exactly the decoded events,
+        // whole and non-finite floats included.
+        let rendered = Journal::in_memory("r0");
+        emit(&rendered);
+        assert_eq!(
+            parse_jsonl(&rendered.drain_lines().join("\n")).unwrap(),
+            events
+        );
     }
 
     #[test]
@@ -741,8 +765,7 @@ mod tests {
         j.emit("a", &[]);
         j2.emit("b", &[]);
         j.emit("c", &[]);
-        let events = parse_jsonl(&j.drain_lines().join("\n")).unwrap();
-        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = j.drain_events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
     }
 
@@ -756,7 +779,7 @@ mod tests {
             j.observe("cost", x);
         }
         j.finish();
-        let events = parse_jsonl(&j.drain_lines().join("\n")).unwrap();
+        let events = j.drain_events();
         let summary = events.last().unwrap();
         assert_eq!(summary.step, "journal.summary");
         let counters = summary.payload.get("counters").unwrap();
@@ -778,8 +801,8 @@ mod tests {
         j.count("c", 1);
         j.finish();
         j.finish();
-        let events = parse_jsonl(&j.drain_lines().join("\n")).unwrap();
-        let summaries = events
+        let summaries = j
+            .drain_events()
             .iter()
             .filter(|e| e.step == "journal.summary")
             .count();
@@ -821,7 +844,7 @@ mod tests {
         };
         let memory = Journal::in_memory("deep");
         emit(&memory);
-        let from_memory = parse_jsonl(&memory.drain_lines().join("\n")).unwrap();
+        let from_memory = memory.drain_events();
         let path =
             std::env::temp_dir().join(format!("ideaflow_trace_deep_{}.ifj", std::process::id()));
         emit(&Journal::to_file("deep", &path).unwrap());
@@ -854,7 +877,7 @@ mod tests {
             }
         });
         j.finish();
-        let events = parse_jsonl(&j.drain_lines().join("\n")).unwrap();
+        let events = j.drain_events();
         assert_eq!(events.len(), 201, "200 worker events + summary");
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (0..201).collect::<Vec<u64>>(), "dense and sorted");
@@ -865,7 +888,8 @@ mod tests {
         );
         let hist = summary.payload.get("histograms").unwrap().get("i").unwrap();
         assert_eq!(hist.get("count"), Some(&Value::Int(200)));
-        // Whole floats round-trip through JSONL as integers.
+        // Whole floats decode as integers, as their JSONL renderings
+        // parse back.
         assert_eq!(hist.get("min"), Some(&Value::Int(0)));
         assert_eq!(hist.get("max"), Some(&Value::Int(49)));
     }
@@ -907,7 +931,7 @@ mod tests {
             panic!("worker died after emitting");
         });
         assert!(handle.join().is_err());
-        let events = parse_jsonl(&j.drain_lines().join("\n")).unwrap();
+        let events = j.drain_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].step, "before.panic");
     }
@@ -918,7 +942,7 @@ mod tests {
         let j = Journal::telemetry_only("t").with_telemetry(registry.clone());
         j.emit("x", &[]);
         j.count("c", 2);
-        assert!(j.drain_lines().is_empty());
+        assert!(j.drain_events().is_empty());
         assert_eq!(registry.counter_value("journal.events"), Some(1));
         assert_eq!(registry.counter_value("c"), Some(2));
     }

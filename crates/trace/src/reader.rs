@@ -1,6 +1,7 @@
 //! The reader/aggregator half of the journal: hold decoded
-//! [`RunEvent`]s (or events parsed from a JSONL rendering) and
-//! summarize them per step.
+//! [`RunEvent`]s and summarize them per step. A reader comes from a file
+//! ([`crate::Journal::load`]) or from an in-memory journal, written
+//! `JournalReader { events: journal.drain_events() }`.
 
 use crate::analyze::SummaryBuilder;
 use crate::stats::{FieldStats, Histogram};
@@ -26,16 +27,6 @@ pub struct StepSummary {
 }
 
 impl JournalReader {
-    /// Parses a JSONL rendering ([`crate::Journal::drain_lines`],
-    /// `ifjournal convert`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed line.
-    pub fn from_jsonl(text: &str) -> Result<Self, String> {
-        crate::parse_jsonl(text).map(|events| Self { events })
-    }
-
     /// Number of events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -151,8 +142,9 @@ mod tests {
         j.emit("flow.place", &[("hpwl_um", 100.0.into())]);
         j.emit("flow.place", &[("hpwl_um", 140.0.into())]);
         j.emit("flow.route", &[("drv", 12u64.into())]);
-        let lines = j.drain_lines().join("\n");
-        JournalReader::from_jsonl(&lines).unwrap()
+        JournalReader {
+            events: j.drain_events(),
+        }
     }
 
     #[test]
@@ -190,7 +182,9 @@ mod tests {
             &[("arm", 0u64.into()), ("reward", 3.0.into())],
         );
         j.emit("bandit.pull", &[("arm", 1u64.into())]); // no reward: skipped
-        let r = JournalReader::from_jsonl(&j.drain_lines().join("\n")).unwrap();
+        let r = JournalReader {
+            events: j.drain_events(),
+        };
         let groups = r.field_stats_grouped("bandit.pull", "arm", "reward");
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].0, 0);
@@ -208,11 +202,5 @@ mod tests {
         let mut bad = r.clone();
         bad.events[2].seq = 0;
         assert!(!bad.seq_strictly_increasing_per_run());
-    }
-
-    #[test]
-    fn malformed_lines_are_reported_with_position() {
-        let err = JournalReader::from_jsonl("{\"run_id\": 3}").unwrap_err();
-        assert!(err.contains("line 1"), "{err}");
     }
 }

@@ -13,9 +13,8 @@
 //!   emit/count/observe/time/span/gauge call-site literal in the
 //!   workspace and fails on names or field keys not declared here;
 //! - **at runtime**: `ifjournal lint` validates a recorded journal
-//!   event by event ([`lint_event`]; [`lint_jsonl`] over a JSONL
-//!   rendering) before it is trusted for replay, warm-starts, or
-//!   resume.
+//!   event by event ([`lint_event`] over each decoded record) before it
+//!   is trusted for replay, warm-starts, or resume.
 //!
 //! The workflow is registry-first: to add a journal event, declare it
 //! here (name, fields, kinds), then write the emit site. `ifcheck`
@@ -931,13 +930,14 @@ pub fn version_warning(first: Option<&RunEvent>) -> Option<String> {
     }
 }
 
-/// One finding from validating a recorded journal.
+/// One finding from validating a recorded journal, as `ifjournal lint`
+/// prints it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaDiagnostic {
-    /// 1-based line number in the JSONL input (`ifjournal lint`: the
-    /// record ordinal).
+    /// 1-based record number (a file journal's `journal.meta` header is
+    /// record 1).
     pub line: usize,
-    /// The event name the line carried (empty for parse failures).
+    /// The event name the record carried (empty for decode failures).
     pub event: String,
     /// What is wrong.
     pub message: String,
@@ -1036,45 +1036,15 @@ fn kind_of(v: &Value) -> &'static str {
     }
 }
 
-/// Validates a journal's JSONL rendering against the registry: every line
-/// must parse as a [`RunEvent`] whose name, fields, and field kinds the
-/// registry declares. Returns line-numbered diagnostics; empty means
-/// the journal conforms and is safe to feed to `seed_from_journal`
-/// warm-starts and checkpoint resume.
-#[must_use]
-pub fn lint_jsonl(text: &str) -> Vec<SchemaDiagnostic> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let lineno = i + 1;
-        match serde_json::from_str::<RunEvent>(line) {
-            Err(e) => out.push(SchemaDiagnostic {
-                line: lineno,
-                event: String::new(),
-                message: format!("malformed event line: {e}"),
-            }),
-            Ok(event) => {
-                out.extend(
-                    lint_event(&event)
-                        .into_iter()
-                        .map(|message| SchemaDiagnostic {
-                            line: lineno,
-                            event: event.step.clone(),
-                            message,
-                        }),
-                )
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Journal;
+
+    /// Every finding in the events drained from `j`.
+    fn findings(j: &Journal) -> Vec<String> {
+        j.drain_events().iter().flat_map(lint_event).collect()
+    }
 
     #[test]
     fn wildcard_matching() {
@@ -1116,21 +1086,17 @@ mod tests {
         j.count("bandit.pulls", 1);
         j.observe("bandit.reward", 0.5);
         j.finish();
-        let text = j.drain_lines().join("\n");
-        let diags = lint_jsonl(&text);
+        let diags = findings(&j);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
-    fn unknown_event_is_diagnosed_with_line() {
+    fn unknown_event_is_diagnosed() {
         let j = Journal::in_memory("bad");
         j.emit("flow.sample_typo", &[("sample", 1i64.into())]);
-        let text = j.drain_lines().join("\n");
-        let diags = lint_jsonl(&text);
+        let diags = findings(&j);
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].line, 1);
-        assert_eq!(diags[0].event, "flow.sample_typo");
-        assert!(diags[0].message.contains("unknown event"), "{}", diags[0]);
+        assert!(diags[0].contains("unknown event"), "{}", diags[0]);
     }
 
     #[test]
@@ -1145,9 +1111,7 @@ mod tests {
                 ("hours_savd", 1.5.into()), // misspelled
             ],
         );
-        let text = j.drain_lines().join("\n");
-        let diags = lint_jsonl(&text);
-        let msgs: Vec<String> = diags.iter().map(ToString::to_string).collect();
+        let msgs = findings(&j);
         assert!(
             msgs.iter()
                 .any(|m| m.contains("missing required field `hours_saved`")),
@@ -1171,13 +1135,9 @@ mod tests {
                 ("arm", "two".into()), // should be an int
             ],
         );
-        let diags = lint_jsonl(&j.drain_lines().join("\n"));
+        let diags = findings(&j);
         assert_eq!(diags.len(), 1);
-        assert!(
-            diags[0].message.contains("`arm` should be int"),
-            "{}",
-            diags[0]
-        );
+        assert!(diags[0].contains("`arm` should be int"), "{}", diags[0]);
     }
 
     #[test]
@@ -1186,8 +1146,7 @@ mod tests {
         drop(j.span("not.a.span"));
         j.count("faults.typo_counter", 1);
         j.finish();
-        let diags = lint_jsonl(&j.drain_lines().join("\n"));
-        let msgs: Vec<String> = diags.iter().map(ToString::to_string).collect();
+        let msgs = findings(&j);
         assert!(
             msgs.iter()
                 .any(|m| m.contains("unknown span name `not.a.span`")),
@@ -1198,14 +1157,6 @@ mod tests {
                 .any(|m| m.contains("unknown counters entry `faults.typo_counter`")),
             "{msgs:?}"
         );
-    }
-
-    #[test]
-    fn malformed_line_is_diagnosed_with_number() {
-        let diags = lint_jsonl("\n{not json}\n");
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].line, 2);
-        assert!(diags[0].message.contains("malformed"), "{}", diags[0]);
     }
 
     #[test]
@@ -1221,7 +1172,7 @@ mod tests {
         let j = Journal::in_memory("old");
         j.count("bandit.pulls", 1);
         j.finish();
-        let events = crate::parse_jsonl(&j.drain_lines().join("\n")).unwrap();
+        let events = j.drain_events();
         let warn = version_warning(events.first()).expect("headerless journal warns");
         assert!(warn.contains("no journal.meta header"), "{warn}");
         assert_eq!(version_warning(None), Some(warn));
@@ -1234,7 +1185,7 @@ mod tests {
         );
         let meta: RunEvent = serde_json::from_str(&good).unwrap();
         assert_eq!(version_warning(Some(&meta)), None);
-        assert!(lint_jsonl(&good).is_empty(), "{:?}", lint_jsonl(&good));
+        assert_eq!(lint_event(&meta), Vec::<String>::new());
 
         // A stale hash is a cross-version warning naming both hashes.
         let stale = good.replace(&registry_hash_hex(), "00000000deadbeef");

@@ -252,7 +252,9 @@ mod tests {
     use crate::JournalReader;
 
     fn load(journal: &Journal) -> JournalReader {
-        JournalReader::from_jsonl(&journal.drain_lines().join("\n")).unwrap()
+        JournalReader {
+            events: journal.drain_events(),
+        }
     }
 
     #[test]
@@ -262,7 +264,7 @@ mod tests {
         assert_eq!(s.id(), 0);
         assert_eq!(s.parent(), -1);
         drop(s);
-        assert!(j.drain_lines().is_empty());
+        assert!(j.drain_events().is_empty());
     }
 
     #[test]

@@ -102,9 +102,9 @@ fn convert_renders_jsonl_that_parses_back_to_the_journal() {
         .unwrap()
         .map(Result::unwrap)
         .collect();
-    let text = std::fs::read_to_string(&jsonl).unwrap();
-    assert_eq!(parse_jsonl(&text).unwrap(), decoded);
-    assert!(schema::lint_jsonl(&text).is_empty());
+    let parsed = parse_jsonl(&std::fs::read_to_string(&jsonl).unwrap()).unwrap();
+    assert_eq!(parsed, decoded);
+    assert!(parsed.iter().all(|e| schema::lint_event(e).is_empty()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -138,6 +138,83 @@ fn a_jsonl_file_is_refused_with_the_bad_magic_error() {
         let text = stdout(&out) + &stderr(&out);
         assert!(text.contains("bad magic bytes"), "{args:?}: {text}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Writes a journal whose one `bandit.pull` misspells `reward`, and
+/// returns the file length once that record is flushed: the offset at
+/// which the next frame, the `journal.summary` record, starts.
+fn write_misspelled(path: &std::path::Path) -> usize {
+    let j = Journal::to_file("cli", path).unwrap();
+    j.emit(
+        "bandit.pull",
+        &[
+            ("t", PayloadValue::Int(0)),
+            ("policy", PayloadValue::Str("thompson".into())),
+            ("arm", PayloadValue::Int(1)),
+            ("rewrad", PayloadValue::Float(0.5)),
+            ("posterior_means", PayloadValue::Array(vec![])),
+        ],
+    );
+    j.flush();
+    let flushed = std::fs::metadata(path).unwrap().len() as usize;
+    j.finish();
+    flushed
+}
+
+#[test]
+fn lint_reports_a_misspelled_field_at_its_record_number() {
+    let dir = scratch_dir();
+    let path = dir.join("typo.ifj");
+    write_misspelled(&path);
+    let path = path.to_str().unwrap();
+
+    let out = ifjournal(&["lint", path]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    // Record 1 is the `journal.meta` header.
+    let text = stdout(&out);
+    assert!(
+        text.contains(&format!(
+            "{path}:line 2: [bandit.pull] unknown field `rewrad`"
+        )),
+        "{text}"
+    );
+    assert!(
+        text.contains(&format!(
+            "{path}:line 2: [bandit.pull] missing required field `reward`"
+        )),
+        "{text}"
+    );
+    assert!(stderr(&out).contains("2 schema finding(s)"), "{out:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn lint_reports_a_torn_frame_at_the_next_record_number() {
+    let dir = scratch_dir();
+    let complete = dir.join("typo.ifj");
+    let summary_at = write_misspelled(&complete);
+    let bytes = std::fs::read(&complete).unwrap();
+    let torn = dir.join("torn.ifj");
+    // Cut two bytes into the `journal.summary` frame.
+    std::fs::write(&torn, &bytes[..summary_at + 2]).unwrap();
+    let torn = torn.to_str().unwrap();
+
+    let out = ifjournal(&["lint", torn]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let text = stdout(&out);
+    assert!(
+        text.contains(&format!(
+            "{torn}:line 2: [bandit.pull] unknown field `rewrad`"
+        )),
+        "{text}"
+    );
+    assert!(
+        text.contains(&format!(
+            "{torn}:line 3: truncated frame at byte {summary_at}"
+        )),
+        "{text}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

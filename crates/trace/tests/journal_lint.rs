@@ -1,15 +1,18 @@
-//! Golden tests for the runtime journal linter (`ifjournal lint`'s
-//! engine, `schema::lint_jsonl`): a journal produced through the real
-//! `Journal` API conforms to the registry, and targeted corruptions —
-//! a misspelled field, an unknown event, a mistyped value — surface as
-//! named, line-numbered diagnostics.
+//! Golden tests for the runtime journal linter's engine,
+//! `schema::lint_event`, which `ifjournal lint` runs on every decoded
+//! record: a journal produced through the real `Journal` API conforms
+//! to the registry, and targeted corruptions of its decoded events — a
+//! renamed payload key, an unknown step, a retyped value — surface as
+//! named diagnostics on the corrupted event alone. `ifjournal_cli.rs`
+//! checks the record numbers the binary prints.
 
-use ideaflow_trace::schema::lint_jsonl;
-use ideaflow_trace::Journal;
+use ideaflow_trace::schema::lint_event;
+use ideaflow_trace::{Journal, PayloadValue, RunEvent};
 
 /// A small but representative journal written through the public API:
-/// events, counters, histograms, a span, a timer, and the summary.
-fn conforming_journal() -> String {
+/// events, counters, histograms, a span, a timer, and the summary. The
+/// `bandit.pull` record comes first.
+fn conforming_events() -> Vec<RunEvent> {
     let j = Journal::in_memory("lint-golden");
     j.emit(
         "bandit.pull",
@@ -18,9 +21,9 @@ fn conforming_journal() -> String {
             ("policy", "thompson".into()),
             ("arm", 2i64.into()),
             ("reward", 1.25.into()),
-            // NaN serializes to null; the field is declared optional.
+            // NaN is written as null; the field is declared optional.
             ("cumulative_regret", f64::NAN.into()),
-            ("posterior_means", serde::Value::Array(vec![])),
+            ("posterior_means", PayloadValue::Array(vec![])),
         ],
     );
     j.count("bandit.pulls", 1);
@@ -28,79 +31,84 @@ fn conforming_journal() -> String {
     drop(j.span("flow.run_physical"));
     j.time("bench.lint_golden", || ());
     j.finish();
-    j.drain_lines().join("\n")
+    j.drain_events()
+}
+
+/// Every finding, as (record index, event name, message).
+fn findings(events: &[RunEvent]) -> Vec<(usize, String, String)> {
+    events
+        .iter()
+        .enumerate()
+        .flat_map(|(i, e)| {
+            lint_event(e)
+                .into_iter()
+                .map(move |message| (i, e.step.clone(), message))
+        })
+        .collect()
+}
+
+/// The payload entries of the first (`bandit.pull`) event.
+fn pull_fields(events: &mut [RunEvent]) -> &mut Vec<(String, PayloadValue)> {
+    assert_eq!(events[0].step, "bandit.pull");
+    match &mut events[0].payload {
+        PayloadValue::Object(entries) => entries,
+        other => panic!("payload is not an object: {other:?}"),
+    }
 }
 
 #[test]
 fn journal_written_through_the_api_conforms() {
-    let text = conforming_journal();
-    let diags = lint_jsonl(&text);
+    let events = conforming_events();
+    assert_eq!(events.len(), 5, "{events:#?}");
+    let diags = findings(&events);
     assert!(diags.is_empty(), "{diags:#?}");
 }
 
 #[test]
-fn misspelled_field_is_a_named_line_numbered_diagnostic() {
-    // Corrupt the real bandit.pull line: `reward` -> `rewrad`.
-    let text = conforming_journal().replace("\"reward\":", "\"rewrad\":");
-    let diags = lint_jsonl(&text);
+fn misspelled_field_is_a_named_diagnostic_on_its_event() {
+    let mut events = conforming_events();
+    let fields = pull_fields(&mut events);
+    let reward = fields.iter_mut().find(|(k, _)| k == "reward").unwrap();
+    reward.0 = "rewrad".to_owned();
+    let diags = findings(&events);
     assert_eq!(diags.len(), 2, "{diags:#?}");
-    for d in &diags {
-        assert_eq!(d.line, 1, "bandit.pull is the first journal line");
-        assert_eq!(d.event, "bandit.pull");
+    for (i, event, _) in &diags {
+        assert_eq!((*i, event.as_str()), (0, "bandit.pull"));
     }
     assert!(
         diags
             .iter()
-            .any(|d| d.message.contains("missing required field `reward`")),
+            .any(|d| d.2.contains("missing required field `reward`")),
         "{diags:#?}"
     );
     assert!(
-        diags
-            .iter()
-            .any(|d| d.message.contains("unknown field `rewrad`")),
+        diags.iter().any(|d| d.2.contains("unknown field `rewrad`")),
         "{diags:#?}"
     );
 }
 
 #[test]
-fn unknown_event_is_a_named_line_numbered_diagnostic() {
-    let text = conforming_journal().replace("\"bandit.pull\"", "\"bandit.pulled\"");
-    let diags = lint_jsonl(&text);
+fn unknown_event_is_a_named_diagnostic_on_its_event() {
+    let mut events = conforming_events();
+    events[0].step = "bandit.pulled".to_owned();
+    let diags = findings(&events);
     assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].line, 1);
-    assert_eq!(diags[0].event, "bandit.pulled");
+    assert_eq!((diags[0].0, diags[0].1.as_str()), (0, "bandit.pulled"));
     assert!(
-        diags[0]
-            .message
-            .contains("not in the trace schema registry"),
+        diags[0].2.contains("not in the trace schema registry"),
         "{}",
-        diags[0].message
+        diags[0].2
     );
 }
 
 #[test]
-fn mistyped_value_is_a_named_line_numbered_diagnostic() {
-    let text = conforming_journal().replace("\"arm\":2", "\"arm\":\"two\"");
-    let diags = lint_jsonl(&text);
+fn mistyped_value_is_a_named_diagnostic_on_its_event() {
+    let mut events = conforming_events();
+    let fields = pull_fields(&mut events);
+    let arm = fields.iter_mut().find(|(k, _)| k == "arm").unwrap();
+    arm.1 = PayloadValue::Str("two".to_owned());
+    let diags = findings(&events);
     assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].event, "bandit.pull");
-    assert!(
-        diags[0].message.contains("`arm` should be int"),
-        "{}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn malformed_line_reports_its_line_number() {
-    let mut text = conforming_journal();
-    text.push_str("\n{not json");
-    let diags = lint_jsonl(&text);
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].line, text.lines().count());
-    assert!(
-        diags[0].message.contains("malformed"),
-        "{}",
-        diags[0].message
-    );
+    assert_eq!((diags[0].0, diags[0].1.as_str()), (0, "bandit.pull"));
+    assert!(diags[0].2.contains("`arm` should be int"), "{}", diags[0].2);
 }

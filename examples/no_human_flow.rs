@@ -22,7 +22,7 @@ use ideaflow::metrics::corpus;
 use ideaflow::metrics::feedback::AdaptiveTargeter;
 use ideaflow::netlist::generate::{DesignClass, DesignSpec};
 use ideaflow::route::logfile::artificial_corpus;
-use ideaflow::trace::{parse_jsonl, Journal};
+use ideaflow::trace::Journal;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Every tool run is instrumented: the journal collects everything,
@@ -91,8 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             target
         };
         let _ = flow.run_logged(&SpnrOptions::with_target_ghz(probe.min(20.0))?, 100 + i);
-        let events = parse_jsonl(&journal.drain_lines().join("\n"))?;
-        collected.extend(corpus::from_events(&events));
+        collected.extend(corpus::from_events(&journal.drain_events()));
         target = targeter.next_target_ghz(&collected).min(20.0);
     }
     let shipped = SpnrOptions::with_target_ghz(target)?;

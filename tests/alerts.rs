@@ -10,7 +10,7 @@ use ideaflow::exec::{with_pool, PoolBuilder};
 use ideaflow::flow::cache::QorCache;
 use ideaflow::metrics::alerts::{parse_rules, AlertEngine};
 use ideaflow::trace::schema;
-use ideaflow::trace::{Journal, JournalReader, TelemetryRegistry};
+use ideaflow::trace::{Journal, JournalReader, PayloadValue, RunEvent, TelemetryRegistry};
 use ideaflow_bench::experiments::fig06_orchestration::{run_chaos_gwtw_alerted, ChaosConfig};
 
 /// Runs `f` on an explicit pool of `threads` workers.
@@ -27,8 +27,9 @@ fn ci_rules() -> Vec<ideaflow::metrics::alerts::AlertRule> {
 
 /// One alerted chaos campaign (3 review rounds — enough for the 2000
 /// model-hour CI budget to fire at tick 3). Returns the engine's two
-/// text surfaces plus the campaign best, for cross-thread diffing.
-fn alerted_campaign() -> (String, String, u64, Vec<String>) {
+/// text surfaces, the campaign best and the journal, for cross-thread
+/// diffing.
+fn alerted_campaign() -> (String, String, u64, Vec<RunEvent>) {
     let registry = TelemetryRegistry::new();
     let journal = Journal::in_memory("alerts-test").with_telemetry(registry.clone());
     let engine = AlertEngine::new(ci_rules(), registry.clone()).with_journal(journal.clone());
@@ -39,12 +40,11 @@ fn alerted_campaign() -> (String, String, u64, Vec<String>) {
         &journal,
         Some(&engine),
     );
-    let lines = journal.drain_lines();
     (
         engine.transitions_text(),
         engine.snapshot_json(),
         out.best_cost.to_bits(),
-        lines,
+        journal.drain_events(),
     )
 }
 
@@ -88,25 +88,23 @@ fn budget_alert_fires_on_all_three_surfaces() {
 
     // Surface 3: the journal records the transition, and the new
     // events conform to the schema registry.
-    let lines = journal.drain_lines().join("\n");
-    let reader = JournalReader::from_jsonl(&lines).unwrap();
+    let reader = JournalReader {
+        events: journal.drain_events(),
+    };
     let fired = reader.events_for_step("alert.fired");
     assert_eq!(fired.len(), 1, "exactly one budget firing in 3 rounds");
     assert_eq!(
-        fired[0]
-            .payload
-            .get("rule")
-            .and_then(ideaflow::trace::PayloadValue::as_str),
+        fired[0].payload.get("rule").and_then(PayloadValue::as_str),
         Some("model-hour-budget")
     );
-    let diags = schema::lint_jsonl(&lines);
+    let diags: Vec<String> = reader.events.iter().flat_map(schema::lint_event).collect();
     assert!(diags.is_empty(), "alert events must lint clean: {diags:?}");
 }
 
 #[test]
 fn alert_transitions_are_bit_identical_across_thread_counts() {
-    let (t1, s1, b1, l1) = on_pool(1, alerted_campaign);
-    let (t4, s4, b4, l4) = on_pool(4, alerted_campaign);
+    let (t1, s1, b1, e1) = on_pool(1, alerted_campaign);
+    let (t4, s4, b4, e4) = on_pool(4, alerted_campaign);
     assert!(
         t1.contains("FIRED model-hour-budget"),
         "the tight budget must fire: {t1}"
@@ -114,24 +112,17 @@ fn alert_transitions_are_bit_identical_across_thread_counts() {
     assert_eq!(t1, t4, "transition log must be byte-stable across pools");
     assert_eq!(s1, s4, "snapshot JSON must be byte-stable across pools");
     assert_eq!(b1, b4, "campaign best must be bit-identical");
-    // The alert events land at the same ticks in both journals.
-    let alert_lines = |lines: &[String]| -> Vec<String> {
-        lines
+    // The alert events land at the same ticks in both journals. Seq
+    // numbers may differ across pools (other events interleave), so
+    // compare steps and payloads only.
+    let alerts = |events: &[RunEvent]| -> Vec<(String, PayloadValue)> {
+        events
             .iter()
-            .filter(|l| l.contains("\"alert."))
-            .cloned()
+            .filter(|e| e.step.starts_with("alert."))
+            .map(|e| (e.step.clone(), e.payload.clone()))
             .collect()
     };
-    let a1 = alert_lines(&l1);
+    let a1 = alerts(&e1);
     assert!(!a1.is_empty(), "journaled transitions expected");
-    // seq numbers may differ across pools (other events interleave),
-    // so compare payloads only.
-    let payload = |l: &str| l.split("\"payload\"").nth(1).map(str::to_owned);
-    assert_eq!(
-        a1.iter().map(|l| payload(l)).collect::<Vec<_>>(),
-        alert_lines(&l4)
-            .iter()
-            .map(|l| payload(l))
-            .collect::<Vec<_>>()
-    );
+    assert_eq!(a1, alerts(&e4));
 }

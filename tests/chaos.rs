@@ -74,8 +74,9 @@ fn killed_campaign_resumed_from_journal_matches_uninterrupted_run() {
     let journal = Journal::in_memory("chaos-killed");
     let killed = run_chaos_gwtw(&cfg, 1, QorCache::new(), &journal);
     assert!(killed.runs_spent > 0, "the killed campaign must do work");
-    let lines = journal.drain_lines().join("\n");
-    let reader = JournalReader::from_jsonl(&lines).expect("journal must parse");
+    let reader = JournalReader {
+        events: journal.drain_events(),
+    };
 
     // Resume: warm a fresh cache from the killed campaign's journal and
     // run the full campaign again. Completed work replays as cache

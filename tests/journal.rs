@@ -5,7 +5,7 @@
 use ideaflow::flow::options::SpnrOptions;
 use ideaflow::flow::spnr::SpnrFlow;
 use ideaflow::netlist::generate::{DesignClass, DesignSpec};
-use ideaflow::trace::{Journal, JournalReader, PayloadValue};
+use ideaflow::trace::{Journal, JournalReader, PayloadValue, RunEvent};
 use proptest::prelude::*;
 
 fn journaled_physical_run(journal: &Journal) {
@@ -60,10 +60,8 @@ fn journaled_runs_are_deterministic_under_a_fixed_seed() {
     // wall-clock `secs` fields (the journal's only nondeterministic
     // payload) — compare events with those fields stripped.
     let strip = |journal: &Journal| -> Vec<StrippedEvent> {
-        let lines = journal.drain_lines().join("\n");
-        let reader = JournalReader::from_jsonl(&lines).unwrap();
-        reader
-            .events
+        journal
+            .drain_events()
             .iter()
             .map(|e| {
                 let fields = e
@@ -99,7 +97,9 @@ fn diff_of_two_fixed_seed_journals_is_stable() {
         let j = Journal::in_memory(id);
         journaled_physical_run(&j);
         j.finish();
-        JournalReader::from_jsonl(&j.drain_lines().join("\n")).unwrap()
+        JournalReader {
+            events: j.drain_events(),
+        }
     };
     let a = journal_for("run-a");
     let b = journal_for("run-b");
@@ -159,7 +159,7 @@ proptest! {
             }
         }
         journal.finish();
-        let reader = JournalReader::from_jsonl(&journal.drain_lines().join("\n")).unwrap();
+        let reader = JournalReader { events: journal.drain_events() };
         let events = span_events(&reader);
         let opens: Vec<_> = events.iter().filter(|e| e.0).collect();
         let closes: Vec<_> = events.iter().filter(|e| !e.0).collect();
@@ -189,10 +189,8 @@ type MergedEvent = (String, u64, Vec<(String, String)>);
 /// separately — merge order makes the low bits of mean/std
 /// schedule-dependent, exactly as reduction order did under the old
 /// single lock).
-fn stripped_events(lines: &[String]) -> Vec<MergedEvent> {
-    let reader = JournalReader::from_jsonl(&lines.join("\n")).unwrap();
-    reader
-        .events
+fn stripped_events(events: &[RunEvent]) -> Vec<MergedEvent> {
+    events
         .iter()
         .filter(|e| e.step != "journal.summary")
         .map(|e| {
@@ -213,9 +211,11 @@ fn stripped_events(lines: &[String]) -> Vec<MergedEvent> {
 
 /// The exact (order-independent) aggregates of the `journal.summary`
 /// event: counter totals plus histogram count/min/max/negatives.
-fn summary_exact_fields(lines: &[String]) -> Vec<(String, String)> {
-    let reader = JournalReader::from_jsonl(&lines.join("\n")).unwrap();
-    let summaries = reader.events_for_step("journal.summary");
+fn summary_exact_fields(events: &[RunEvent]) -> Vec<(String, String)> {
+    let summaries: Vec<&RunEvent> = events
+        .iter()
+        .filter(|e| e.step == "journal.summary")
+        .collect();
     assert_eq!(summaries.len(), 1, "exactly one summary");
     let payload = &summaries[0].payload;
     let mut out = Vec::new();
@@ -267,7 +267,7 @@ proptest! {
                 }
             }
         };
-        let lines_at = |threads: Option<usize>| -> Vec<String> {
+        let events_at = |threads: Option<usize>| -> Vec<RunEvent> {
             let journal = Journal::in_memory("merge");
             match threads {
                 None => {
@@ -281,11 +281,11 @@ proptest! {
                 }
             }
             journal.finish();
-            journal.drain_lines()
+            journal.drain_events()
         };
 
-        let baseline = lines_at(None);
-        let single = lines_at(Some(1));
+        let baseline = events_at(None);
+        let single = events_at(Some(1));
         // 1 thread: par_map runs inline in submission order — the
         // journal is the single-lock journal, byte for byte.
         prop_assert_eq!(stripped_events(&baseline), stripped_events(&single));
@@ -296,8 +296,8 @@ proptest! {
         base_set.iter_mut().for_each(|e| e.1 = 0);
         base_set.sort();
         for threads in [2usize, 4] {
-            let lines = lines_at(Some(threads));
-            let events = stripped_events(&lines);
+            let journaled = events_at(Some(threads));
+            let events = stripped_events(&journaled);
             // Dense strictly-monotone seq in sink order.
             for (pos, e) in events.iter().enumerate() {
                 prop_assert_eq!(e.1, pos as u64, "{} threads: seq gap", threads);
@@ -307,7 +307,7 @@ proptest! {
             set.sort();
             prop_assert_eq!(&set, &base_set, "{} threads: event multiset", threads);
             prop_assert_eq!(
-                &summary_exact_fields(&lines),
+                &summary_exact_fields(&journaled),
                 &base_summary,
                 "{} threads: summary aggregates",
                 threads
@@ -336,8 +336,9 @@ proptest! {
             }
         }
         journal.finish();
-        let lines = journal.drain_lines().join("\n");
-        let reader = JournalReader::from_jsonl(&lines).unwrap();
+        let reader = JournalReader {
+            events: journal.drain_events(),
+        };
         prop_assert!(reader.seq_strictly_increasing_per_run());
         // Every emit (kind 0) produced exactly one event, plus the
         // summary; count/observe only fold into the summary.

@@ -98,7 +98,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// A journal is one encoding with one rendering. Sequentially, an
-    /// in-memory journal renders (through `drain_lines`) exactly the
+    /// in-memory journal drains (through `drain_events`) exactly the
     /// events a file journal decodes to after its `journal.meta`
     /// header, and the encoder is deterministic byte for byte. On
     /// 2/4-thread pools the file journal keeps the sequential
@@ -146,7 +146,7 @@ proptest! {
         prop_assert_eq!(baseline[0].step.as_str(), "journal.meta");
         let memory = Journal::in_memory("codec");
         run(&memory, None);
-        let mut from_memory = parse_jsonl(&memory.drain_lines().join("\n")).unwrap();
+        let mut from_memory = memory.drain_events();
         from_memory.iter_mut().for_each(|e| e.seq += 1);
         prop_assert_eq!(stripped(&baseline[1..]), stripped(&from_memory));
         prop_assert_eq!(rendered(&binary), baseline.clone());
@@ -381,7 +381,7 @@ fn streaming_seeds_match_the_collecting_readers() {
 }
 
 /// The binary journal through `load` and `EventStream`, and its JSONL
-/// rendering through `JournalReader::from_jsonl`, hold the same events.
+/// rendering through `parse_jsonl`, hold the same events.
 #[test]
 fn load_and_stream_agree_on_both_formats() {
     let dir = scratch_dir();
@@ -397,6 +397,6 @@ fn load_and_stream_agree_on_both_formats() {
     let rendering = path.with_extension("jsonl");
     codec::convert(&path, &rendering).unwrap();
     let text = std::fs::read_to_string(&rendering).unwrap();
-    assert_eq!(JournalReader::from_jsonl(&text).unwrap(), loaded);
+    assert_eq!(parse_jsonl(&text).unwrap(), loaded.events);
     let _ = std::fs::remove_dir_all(&dir);
 }

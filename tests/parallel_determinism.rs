@@ -216,8 +216,9 @@ fn journal_events_survive_a_panicking_parallel_task() {
     assert!(crashed.is_err(), "the worker did panic");
 
     journal.finish();
-    let reader =
-        ideaflow::trace::JournalReader::from_jsonl(&journal.drain_lines().join("\n")).unwrap();
+    let reader = ideaflow::trace::JournalReader {
+        events: journal.drain_events(),
+    };
     assert!(reader.seq_strictly_increasing_per_run());
     assert_eq!(
         reader.events_for_step("prop.event").len(),

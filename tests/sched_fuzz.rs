@@ -184,7 +184,9 @@ fn journal_sequence_stays_dense_under_fuzzed_schedules() {
             journal.emit("prop.event", &[("v", PayloadValue::Int(v))]);
         });
         journal.finish();
-        let reader = JournalReader::from_jsonl(&journal.drain_lines().join("\n")).unwrap();
+        let reader = JournalReader {
+            events: journal.drain_events(),
+        };
         // 64 events plus the summary, written in seq order with no gap.
         let seqs: Vec<u64> = reader.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (0..=64).collect::<Vec<_>>(), "seed={seed:#x}");
